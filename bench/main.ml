@@ -3,7 +3,8 @@
    microbenchmark suite for the responsiveness claim.
 
    dune exec bench/main.exe           all experiments + microbenches
-   dune exec bench/main.exe -- quick  experiments only *)
+   dune exec bench/main.exe -- quick  experiments only
+   dune exec bench/main.exe -- loc    lines of code per lib/ library *)
 
 let section id title =
   Printf.printf "\n%s\n%s — %s\n%s\n" (String.make 78 '=') id title
@@ -24,6 +25,7 @@ let j_e13 : (string * float) list ref = ref []  (* serving-core figures *)
 let j_e14 : (string * float) list ref = ref []  (* indexed-search figures *)
 let j_e15 : (string * float) list ref = ref []  (* durability figures *)
 let j_e16 : (string * float) list ref = ref []  (* guide/manual figures *)
+let j_loc : (string * float) list ref = ref []  (* .ml + .mli lines *)
 
 let j7 name v = j_e7 := (name, v) :: !j_e7
 let j10 name v = j_e10 := (name, v) :: !j_e10
@@ -62,8 +64,15 @@ let cache_hit_rates () =
       ("metrics.conn", "metrics.conn.hit", "metrics.conn.miss");
     ]
 
+let usage msg =
+  Printf.eprintf
+    "bench: %s\nusage: main.exe [quick] [--json PATH] | loc | doc-lint | \
+     <gate>-smoke\n"
+    msg;
+  exit 2
+
 let write_json path =
-  let oc = open_out path in
+  let oc = try open_out path with Sys_error e -> usage e in
   let table ?(fmt = format_of_string "%.3f") entries =
     String.concat ",\n"
       (List.map
@@ -74,11 +83,11 @@ let write_json path =
   in
   let rates = cache_hit_rates () in
   Printf.fprintf oc
-    "{\n  \"schema\": \"help-bench-8\",\n  \"e7_ns_per_op\": {\n%s\n  },\n  \
+    "{\n  \"schema\": \"help-bench-9\",\n  \"e7_ns_per_op\": {\n%s\n  },\n  \
      \"e10_ms\": {\n%s\n  },\n  \"search\": {\n%s\n  },\n  \
      \"pool\": {\n%s\n  },\n  \"e13\": {\n%s\n  },\n  \
      \"index\": {\n%s\n  },\n  \"wal\": {\n%s\n  },\n  \
-     \"guide\": {\n%s\n  },\n  \
+     \"guide\": {\n%s\n  },\n  \"loc\": {\n%s\n  },\n  \
      \"cache_hit_rates\": {\n%s\n  }\n}\n"
     (table (List.rev !j_e7))
     (table (List.rev !j_e10))
@@ -88,14 +97,17 @@ let write_json path =
     (table (List.rev !j_e14))
     (table (List.rev !j_e15))
     (table ~fmt:(format_of_string "%.1f") (List.rev !j_e16))
+    (table ~fmt:(format_of_string "%.0f") !j_loc)
     (table ~fmt:(format_of_string "%.4f") rates);
   close_out oc;
   Printf.printf
     "\nwrote %s (%d e7 rows, %d e10 rows, %d search rows, %d pool rows, %d \
-     e13 rows, %d index rows, %d wal rows, %d guide rows, %d hit-rates)\n"
+     e13 rows, %d index rows, %d wal rows, %d guide rows, %d loc rows, %d \
+     hit-rates)\n"
     path (List.length !j_e7) (List.length !j_e10) (List.length !j_e11)
     (List.length !j_e12) (List.length !j_e13) (List.length !j_e14)
-    (List.length !j_e15) (List.length !j_e16) (List.length rates)
+    (List.length !j_e15) (List.length !j_e16) (List.length !j_loc)
+    (List.length rates)
 
 (* ------------------------------------------------------------------ *)
 (* E1: the interaction ledger of the worked example                    *)
@@ -307,58 +319,52 @@ let count_lines path =
       !n
 
 let dir_loc dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> None
-  | entries ->
-      Some
-        (Array.fold_left
-           (fun acc f ->
-             if Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli"
-             then acc + count_lines (Filename.concat dir f)
-             else acc)
-           0 entries)
+  Array.fold_left
+    (fun acc f ->
+      if Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli" then
+        acc + count_lines (Filename.concat dir f)
+      else acc)
+    0 (Sys.readdir dir)
+
+(* Lines of .ml + .mli per lib/ library, in directory order; [None]
+   when the source tree is not reachable from the working directory
+   (run from the repo root or from _build: find lib/ upward). *)
+let lib_loc () =
+  let rec find d depth =
+    if depth > 6 then None
+    else if Sys.file_exists (Filename.concat d "lib/core/help.ml") then Some d
+    else find (Filename.concat d "..") (depth + 1)
+  in
+  Option.map
+    (fun root ->
+      let lib = Filename.concat root "lib" in
+      Sys.readdir lib |> Array.to_list |> List.sort compare
+      |> List.filter (fun d -> Sys.is_directory (Filename.concat lib d))
+      |> List.map (fun d -> ("lib/" ^ d, dir_loc (Filename.concat lib d))))
+    (find "." 0)
+
+(* The code-size ledger: every library, the lib/ total and E6's
+   interface proper (core + srv), printed and kept for --json. *)
+let loc_table () =
+  match lib_loc () with
+  | None -> row "(source tree not reachable from the working directory; skipped)\n"
+  | Some libs ->
+      let total = List.fold_left (fun acc (_, n) -> acc + n) 0 libs in
+      let proper = List.assoc "lib/core" libs + List.assoc "lib/srv" libs in
+      row "%-30s %8s\n" "library (.ml + .mli lines)" "LoC";
+      List.iter (fun (d, n) -> row "%-30s %8d\n" d n) libs;
+      row "%-30s %8d\n" "TOTAL (lib/)" total;
+      row "%-30s %8d\n" "interface proper (core+srv)" proper;
+      j_loc :=
+        List.map (fun (d, n) -> (d, float_of_int n)) libs
+        @ [ ("lib_total", float_of_int total);
+            ("interface_proper", float_of_int proper) ]
 
 let e6_code_size () =
   section "E6" "code size: \"It is also smaller: 4300 lines of C.\"";
-  let root =
-    (* run from the repo root or from _build: find lib/ upward *)
-    let rec find d depth =
-      if depth > 6 then None
-      else if Sys.file_exists (Filename.concat d "lib/core/help.ml") then Some d
-      else find (Filename.concat d "..") (depth + 1)
-    in
-    find "." 0
-  in
-  match root with
-  | None -> row "(source tree not reachable from the working directory; skipped)\n"
-  | Some root ->
-      let libs =
-        [ ("core (help itself)", "lib/core"); ("srv (/mnt/help)", "lib/srv");
-          ("rope", "lib/rope"); ("regexp", "lib/regexp"); ("vfs", "lib/vfs");
-          ("nine (9P)", "lib/nine"); ("frame", "lib/frame");
-          ("shell (rc)", "lib/shell"); ("cbr (C browser)", "lib/cbr");
-          ("db (debugger)", "lib/db"); ("mail", "lib/mail");
-          ("corpus", "lib/corpus"); ("session", "lib/session");
-          ("metrics", "lib/metrics"); ("baseline", "lib/baseline");
-          ("popup (measured baseline)", "lib/popup"); ("cpu (CPU server)", "lib/cpu") ]
-      in
-      row "%-22s %8s\n" "component" "LoC";
-      let core_total = ref 0 and total = ref 0 in
-      List.iter
-        (fun (name, dir) ->
-          match dir_loc (Filename.concat root dir) with
-          | Some n ->
-              row "%-22s %8d\n" name n;
-              total := !total + n;
-              if dir = "lib/core" || dir = "lib/srv" then
-                core_total := !core_total + n
-          | None -> row "%-22s %8s\n" name "?")
-        libs;
-      row "%-22s %8d\n" "TOTAL (lib/)" !total;
-      row
-        "the interface proper (core+srv) is %d lines vs the paper's 4300 of C;\n"
-        !core_total;
-      row "the rest is the substrate Plan 9 provided for free.\n"
+  loc_table ();
+  row "the interface proper is what compares with the paper's 4300 lines\n";
+  row "of C; the rest is the substrate Plan 9 provided for free.\n"
 
 (* ------------------------------------------------------------------ *)
 (* E8: the three-click decl                                            *)
@@ -959,7 +965,7 @@ let fault_smoke () =
   let clean_dumps =
     List.map (fun s -> (s.Demo.s_label, s.Demo.s_dump)) clean.Demo.steps
   in
-  let clean_fids = Nine.Server.fid_count clean.Demo.session.Session.srv in
+  let clean_fids = Nine.Pool.fid_count clean.Demo.session.Session.pool in
   let config = { Fault.default with seed = 0xbead; rate = 0.1 } in
   let faulty =
     match Demo.run ~fault:config () with
@@ -980,7 +986,7 @@ let fault_smoke () =
       check "every figure screen matches the fault-free replay"
         (clean_dumps = faulty_dumps);
       check "no leaked fids"
-        (Nine.Server.fid_count faulty.Demo.session.Session.srv = clean_fids);
+        (Nine.Pool.fid_count faulty.Demo.session.Session.pool = clean_fids);
       let injected =
         Option.value ~default:0 (Trace.find_value "nine.fault.injected")
       in
@@ -1035,7 +1041,7 @@ type load_outcome = {
 
 let pool_load ?fault () =
   let s = Session.boot () in
-  let baseline = Nine.Server.fid_count s.Session.srv in
+  let baseline = Nine.Pool.fid_count s.Session.pool in
   let wrap = Option.map Fault.wrap fault in
   let max_retries = Option.map (fun _ -> 8) fault in
   let n = 8 in
@@ -1084,7 +1090,7 @@ let pool_load ?fault () =
     l_ops = !ops;
     l_rpcs = rpcs;
     l_spread = spread;
-    l_leaked = Nine.Server.fid_count s.Session.srv - baseline;
+    l_leaked = Nine.Pool.fid_count s.Session.pool - baseline;
   }
 
 let e12_fault_config = { Fault.default with seed = 0xca11; rate = 0.1 }
@@ -1174,97 +1180,14 @@ let pool_smoke () =
    coalesced wire batches and chained through the scheduler's
    continuations so thousands are in flight at once.  Reported:
    RPCs/sec, p99 of the nine.rpc.us histogram (logical microseconds),
-   fairness spread, minor allocation and major collections per RPC,
-   and a before/after against a replica of the PR 5 Pool.  Every
-   client's concatenated reads must equal the single-client run's,
-   byte for byte. *)
-
-(* PR 5's scheduler, rebuilt here so the before/after numbers come
-   from one binary: list queues with O(n) appends, a List.nth ring
-   scan per served request, one request per step, a decode at submit
-   and another inside the dispatch (Server.conn_rpc).  It runs on the
-   current server core, so if anything this flatters the old design —
-   the real PR 5 also paid a per-request fid fold and two
-   Buffer.creates per encoded message. *)
-module Old_pool = struct
-  type entry = { e_ticket : int; e_tag : int; e_packet : string }
-
-  type conn = {
-    sconn : Nine.Server.conn;
-    mutable queue : entry list;
-    outcomes : (int, string) Hashtbl.t;
-    mutable next_ticket : int;
-  }
-
-  type t = { srv : Nine.Server.t; mutable conns : conn list; mutable rr : int }
-
-  let create fs = { srv = Nine.Server.create fs; conns = []; rr = 0 }
-
-  let attach p =
-    let c =
-      { sconn = Nine.Server.connection ~uname:"old" p.srv; queue = [];
-        outcomes = Hashtbl.create 8; next_ticket = 0 }
-    in
-    p.conns <- p.conns @ [ c ];
-    c
-
-  let submit c packet =
-    let tag, _ = Nine.decode_t packet in
-    let ticket = c.next_ticket in
-    c.next_ticket <- ticket + 1;
-    c.queue <- c.queue @ [ { e_ticket = ticket; e_tag = tag; e_packet = packet } ];
-    ticket
-
-  (* The server now encodes replies through a reused scratch writer, so
-     driving it from here would silently credit the old design with the
-     new codec.  PR 5 built every reply through two fresh Buffers (body,
-     then frame); rebuild the reply that way so the replica pays the
-     Buffer churn it actually paid. *)
-  let reframe reply =
-    let body = Buffer.create 64 in
-    Buffer.add_substring body reply 7 (String.length reply - 7);
-    let s = Buffer.contents body in
-    let b = Buffer.create (16 + String.length s) in
-    let u8 v = Buffer.add_char b (Char.chr (v land 0xff)) in
-    let u16 v = u8 v; u8 (v lsr 8) in
-    let u32 v = u16 v; u16 (v lsr 16) in
-    u32 (7 + String.length s);
-    u8 (Char.code reply.[4]);
-    u16 (Char.code reply.[5] lor (Char.code reply.[6] lsl 8));
-    Buffer.add_string b s;
-    Buffer.contents b
-
-  let step p =
-    let n = List.length p.conns in
-    let rec find i =
-      if i >= n then None
-      else
-        let idx = (p.rr + i) mod n in
-        let c = List.nth p.conns idx in
-        match c.queue with
-        | [] -> find (i + 1)
-        | e :: rest -> Some (idx, c, e, rest)
-    in
-    if n = 0 then false
-    else
-      match find 0 with
-      | None -> false
-      | Some (idx, c, e, rest) ->
-          c.queue <- rest;
-          p.rr <- (idx + 1) mod n;
-          ignore e.e_tag;
-          let reply = reframe (Nine.Server.conn_rpc p.srv c.sconn e.e_packet) in
-          Hashtbl.replace c.outcomes e.e_ticket reply;
-          true
-
-  let run p = while step p do () done
-end
+   fairness spread, minor allocation and major collections per RPC.
+   Every client's concatenated reads must equal the single-client
+   run's, byte for byte. *)
 
 (* The per-client script, built once against a booted session: raw
    frames with fixed tags and fids (fid tables are per-connection, so
-   every client can use the same ones).  Returned both as coalesced
-   batch buffers (for Pool.feed) and as individual frames (for the
-   old replica, which has no batching). *)
+   every client can use the same ones), coalesced into one batch
+   buffer per phase for Pool.feed. *)
 let e13_script s =
   let index = Vfs.read_file s.Session.ns "/mnt/help/index" in
   let w =
@@ -1298,12 +1221,8 @@ let e13_script s =
     ]
   in
   let encode (tag, m) = Nine.encode_t ~tag m in
-  let batches =
-    Array.of_list
-      (List.map (fun b -> String.concat "" (List.map encode b)) batches_msgs)
-  in
-  let frames = List.map encode (List.concat batches_msgs) in
-  (batches, frames)
+  Array.of_list
+    (List.map (fun b -> String.concat "" (List.map encode b)) batches_msgs)
 
 let e13_rpcs_per_client = 21
 
@@ -1328,6 +1247,7 @@ let e13_fleet pool ~clients ~batches =
   let screens = Array.init clients (fun _ -> Buffer.create 256) in
   let nb = Array.length batches in
   let g0 = Gc.quick_stat () in
+  let w0 = Gc.minor_words () in
   let t0 = Sys.time () in
   let rec launch i k =
     let tickets = Nine.Pool.feed conns.(i) batches.(k) in
@@ -1349,6 +1269,7 @@ let e13_fleet pool ~clients ~batches =
   done;
   Nine.Pool.run pool;
   let secs = Sys.time () -. t0 in
+  let w1 = Gc.minor_words () in
   let g1 = Gc.quick_stat () in
   let serveds = Array.map Nine.Pool.served conns in
   let rpcs = Array.fold_left ( + ) 0 serveds in
@@ -1361,58 +1282,7 @@ let e13_fleet pool ~clients ~batches =
   {
     f_rpcs = rpcs;
     f_secs = secs;
-    f_minor = g1.Gc.minor_words -. g0.Gc.minor_words;
-    f_majors = g1.Gc.major_collections - g0.Gc.major_collections;
-    f_spread = spread;
-    f_screens = Array.map Buffer.contents screens;
-  }
-
-(* The same fleet through the PR 5 replica: no continuations there, so
-   concurrency is phased — every client submits its k-th request, the
-   ring drains, repeat.  Same requests, same total work. *)
-let e13_fleet_old srv_fs ~clients ~frames =
-  let p = Old_pool.create srv_fs in
-  let conns = Array.init clients (fun _ -> Old_pool.attach p) in
-  let tickets = Array.make clients [] in
-  let g0 = Gc.quick_stat () in
-  let t0 = Sys.time () in
-  List.iter
-    (fun frame ->
-      Array.iteri
-        (fun i c -> tickets.(i) <- Old_pool.submit c frame :: tickets.(i))
-        conns;
-      Old_pool.run p)
-    frames;
-  let secs = Sys.time () -. t0 in
-  let g1 = Gc.quick_stat () in
-  let screens =
-    Array.mapi
-      (fun i c ->
-        let b = Buffer.create 256 in
-        List.iter
-          (fun t ->
-            match Hashtbl.find_opt c.Old_pool.outcomes t with
-            | Some r -> (
-                match Nine.decode_r r with
-                | _, Nine.Rread { data } -> Buffer.add_string b data
-                | _ -> ())
-            | None -> ())
-          (List.rev tickets.(i));
-        b)
-      conns
-  in
-  let serveds = Array.map (fun c -> Nine.Server.conn_served c.Old_pool.sconn) conns in
-  let rpcs = Array.fold_left ( + ) 0 serveds in
-  let spread =
-    let mn = Array.fold_left min serveds.(0) serveds in
-    let mx = Array.fold_left max serveds.(0) serveds in
-    if mn = 0 then infinity else float_of_int mx /. float_of_int mn
-  in
-  Array.iter (fun c -> Nine.Server.disconnect p.Old_pool.srv c.Old_pool.sconn) conns;
-  {
-    f_rpcs = rpcs;
-    f_secs = secs;
-    f_minor = g1.Gc.minor_words -. g0.Gc.minor_words;
+    f_minor = w1 -. w0;
     f_majors = g1.Gc.major_collections - g0.Gc.major_collections;
     f_spread = spread;
     f_screens = Array.map Buffer.contents screens;
@@ -1420,94 +1290,58 @@ let e13_fleet_old srv_fs ~clients ~frames =
 
 let rpc_p99 () = Trace.percentile (Trace.histogram "nine.rpc.us") 99.
 
-(* Codec buffer churn, before/after: the old framing built every
-   message through two fresh Buffers (one for the body, one for the
-   frame); the Wire writer reuses one scratch and patches the size in
-   place.  Minor words per encoded Rread, measured directly. *)
+(* Codec buffer churn: the Wire writer reuses one scratch and patches
+   the size in place.  Minor words per encoded 1KB Rread, measured
+   directly. *)
 let codec_alloc_words () =
   let data = String.make 1024 'x' in
-  let old_encode () =
-    let body = Buffer.create 64 in
-    let u8 b v = Buffer.add_char b (Char.chr (v land 0xff)) in
-    let u16 b v = u8 b v; u8 b (v lsr 8) in
-    let u32 b v = u16 b v; u16 b (v lsr 16) in
-    u32 body (String.length data);
-    Buffer.add_string body data;
-    let s = Buffer.contents body in
-    let b = Buffer.create (16 + String.length s) in
-    u32 b (7 + String.length s);
-    u8 b 117;
-    u16 b 1;
-    Buffer.add_string b s;
-    Buffer.contents b
-  in
-  let new_encode () = Nine.encode_r ~tag:1 (Nine.Rread { data }) in
-  let words f =
-    ignore (f ());
-    let n = 10_000 in
-    let w0 = Gc.minor_words () in
-    for _ = 1 to n do
-      ignore (f ())
-    done;
-    (Gc.minor_words () -. w0) /. float_of_int n
-  in
-  (words old_encode, words new_encode)
+  let encode () = Nine.encode_r ~tag:1 (Nine.Rread { data }) in
+  ignore (encode ());
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (encode ())
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
 
 let e13_serving () =
   section "E13"
     "serving core: 1k-10k concurrent clients, batched cooperative scheduler";
   let per_rpc o = o.f_minor /. float_of_int o.f_rpcs in
   let rate o = float_of_int o.f_rpcs /. o.f_secs in
-  (* 1k clients: reference screen, the new core, then the PR 5 replica
-     against the same help tree *)
+  (* 1k clients against a single-client reference screen *)
   let s = Session.boot () in
-  let batches, frames = e13_script s in
+  let batches = e13_script s in
   let reference = e13_fleet s.Session.pool ~clients:1 ~batches in
   let new1k = e13_fleet s.Session.pool ~clients:1000 ~batches in
   let p99_1k = rpc_p99 () in
   let identical_1k =
     Array.for_all (fun sc -> sc = reference.f_screens.(0)) new1k.f_screens
   in
-  let old1k =
-    e13_fleet_old (Help_srv.filesystem s.Session.help) ~clients:1000 ~frames
-  in
-  let identical_old =
-    Array.for_all (fun sc -> sc = reference.f_screens.(0)) old1k.f_screens
-  in
-  row "-- 1000 clients x %d RPCs (old = PR 5 pool replica) --\n"
-    e13_rpcs_per_client;
-  row "%-36s %14s %14s\n" "" "old" "new";
-  row "%-36s %14d %14d\n" "RPCs served" old1k.f_rpcs new1k.f_rpcs;
-  row "%-36s %14.0f %14.0f\n" "RPCs/sec" (rate old1k) (rate new1k);
-  row "%-36s %14.1f %14.1f\n" "minor words per RPC" (per_rpc old1k)
-    (per_rpc new1k);
-  row "%-36s %14d %14d\n" "major collections" old1k.f_majors new1k.f_majors;
-  row "%-36s %14.2f %14.2f\n" "fairness spread" old1k.f_spread new1k.f_spread;
-  row "%-36s %14s %14s\n" "screens = single-client run"
-    (if identical_old then "yes" else "NO")
+  row "-- 1000 clients x %d RPCs --\n" e13_rpcs_per_client;
+  row "%-36s %14d\n" "RPCs served" new1k.f_rpcs;
+  row "%-36s %14.0f\n" "RPCs/sec" (rate new1k);
+  row "%-36s %14.1f\n" "minor words per RPC" (per_rpc new1k);
+  row "%-36s %14d\n" "major collections" new1k.f_majors;
+  row "%-36s %14.2f\n" "fairness spread" new1k.f_spread;
+  row "%-36s %14d\n" "p99 nine.rpc.us (logical us)" p99_1k;
+  row "%-36s %14s\n" "screens = single-client run"
     (if identical_1k then "yes" else "NO");
-  row "%-36s %14s %14.2f\n" "speedup (RPCs/sec)" ""
-    (rate new1k /. rate old1k);
-  row "%-36s %14s %14d\n" "p99 nine.rpc.us (logical us)" "" p99_1k;
-  j13 "rpcs_per_sec_1k_old" (rate old1k);
   j13 "rpcs_per_sec_1k" (rate new1k);
-  j13 "speedup_1k" (rate new1k /. rate old1k);
-  j13 "minor_words_per_rpc_1k_old" (per_rpc old1k);
   j13 "minor_words_per_rpc_1k" (per_rpc new1k);
   j13 "p99_us_1k" (float_of_int p99_1k);
   j13 "fairness_spread_1k" new1k.f_spread;
   j13 "screens_identical_1k" (if identical_1k then 1.0 else 0.0);
-  (* 10k clients: the new core only — the replica's List.nth scan is
-     quadratic and would take minutes here, which is the point *)
+  (* 10k clients *)
   let s2 = Session.boot () in
-  let batches2, _ = e13_script s2 in
+  let batches2 = e13_script s2 in
   let reference2 = e13_fleet s2.Session.pool ~clients:1 ~batches:batches2 in
   let new10k = e13_fleet s2.Session.pool ~clients:10_000 ~batches:batches2 in
   let p99_10k = rpc_p99 () in
   let identical_10k =
     Array.for_all (fun sc -> sc = reference2.f_screens.(0)) new10k.f_screens
   in
-  row "-- 10000 clients x %d RPCs (new core only) --\n" e13_rpcs_per_client;
+  row "-- 10000 clients x %d RPCs --\n" e13_rpcs_per_client;
   row "%-36s %14d\n" "RPCs served" new10k.f_rpcs;
   row "%-36s %14.0f\n" "RPCs/sec" (rate new10k);
   row "%-36s %14.1f\n" "minor words per RPC" (per_rpc new10k);
@@ -1524,15 +1358,13 @@ let e13_serving () =
   (* the smoke-scale allocation figure the gc-smoke gate compares
      against, and the codec churn row *)
   let s3 = Session.boot () in
-  let batches3, _ = e13_script s3 in
+  let batches3 = e13_script s3 in
   let smoke = e13_fleet s3.Session.pool ~clients:256 ~batches:batches3 in
   j13 "minor_words_per_rpc_smoke" (per_rpc smoke);
-  let old_words, new_words = codec_alloc_words () in
+  let encode_words = codec_alloc_words () in
   row "-- codec buffer churn (1KB Rread encode) --\n";
-  row "%-36s %14.1f %14.1f\n" "minor words per encode (old/new)" old_words
-    new_words;
-  j13 "encode_words_old" old_words;
-  j13 "encode_words_new" new_words;
+  row "%-36s %14.1f\n" "minor words per encode" encode_words;
+  j13 "encode_words_new" encode_words;
   (* sampled-trace overhead: the same 1k fleet with tracing off vs
      with 1-in-64 head sampling, both at the default window width so
      the comparison isolates the sampling cost.  One fleet is ~50ms,
@@ -1543,7 +1375,7 @@ let e13_serving () =
     let s = Session.boot () in
     if srate = 0 then Trace.set_sampling ~rate:0 ()
     else Trace.set_sampling ~seed:7 ~rate:srate ();
-    let b, _ = e13_script s in
+    let b = e13_script s in
     ignore (e13_fleet s.Session.pool ~clients:1 ~batches:b);
     rate (e13_fleet s.Session.pool ~clients:1000 ~batches:b)
   in
@@ -1558,7 +1390,7 @@ let e13_serving () =
   row "-- sampled-trace overhead (1000 clients, off vs 1-in-64) --\n";
   row "%-36s %14.0f %14.0f\n" "RPCs/sec (off / sampled, best of 3)" off_rate
     on_rate;
-  row "%-36s %14s %14.1f\n" "overhead %% (<= 5 expected)" "" overhead_pct;
+  row "%-36s %14s %14.1f\n" "overhead % (<= 5 expected)" "" overhead_pct;
   j13 "rpcs_per_sec_1k_notrace" off_rate;
   j13 "rpcs_per_sec_1k_sampled64" on_rate;
   j13 "sampling_overhead_pct" overhead_pct;
@@ -1569,7 +1401,7 @@ let e13_serving () =
   let s5 = Session.boot () in
   Trace.set_sampling ~seed:7 ~rate:64 ();
   Trace.window_configure ~width:8192 ~slots:64 ();
-  let batches5, _ = e13_script s5 in
+  let batches5 = e13_script s5 in
   ignore (e13_fleet s5.Session.pool ~clients:1 ~batches:batches5);
   ignore (e13_fleet s5.Session.pool ~clients:1000 ~batches:batches5);
   let qs =
@@ -1605,9 +1437,9 @@ let e13_smoke () =
   let v name = Option.value ~default:0 (Trace.find_value name) in
   let s = Session.boot () in
   let conn0 = v "nine.conn.active" in
-  let fid0 = Nine.Server.fid_count s.Session.srv in
+  let fid0 = Nine.Pool.fid_count s.Session.pool in
   Nine.Pool.record_journal s.Session.pool true;
-  let batches, _ = e13_script s in
+  let batches = e13_script s in
   let reference = e13_fleet s.Session.pool ~clients:1 ~batches in
   let fleet = e13_fleet s.Session.pool ~clients:128 ~batches in
   check "every screen identical to the single-client run"
@@ -1615,7 +1447,7 @@ let e13_smoke () =
   check "fairness spread within 1.05" (fleet.f_spread <= 1.05);
   check "nine.conn.active back to baseline after teardown"
     (v "nine.conn.active" = conn0);
-  check "no leaked fids" (Nine.Server.fid_count s.Session.srv = fid0);
+  check "no leaked fids" (Nine.Pool.fid_count s.Session.pool = fid0);
   let bcount, _, _, bmax = Trace.histogram_stats (Trace.histogram "nine.batch.size") in
   check "batching happened (nine.batch.size populated)" (bcount > 0);
   check "batches actually coalesce (max batch >= 2)" (bmax >= 2);
@@ -2079,7 +1911,7 @@ let wal_smoke () =
   let check name ok = if not ok then failed := name :: !failed in
   let store, cuts, t = wal_reference () in
   let d_ref, s_ref = wal_finish t in
-  let ref_fids = Nine.Server.fid_count t.Session.srv in
+  let ref_fids = Nine.Pool.fid_count t.Session.pool in
   let a_ref =
     match !(t.Session.wal) with Some a -> a | None -> assert false
   in
@@ -2114,7 +1946,7 @@ let wal_smoke () =
         (s = s_ref);
       check
         (Printf.sprintf "zero leaked fids after crash at %s" label)
-        (Nine.Server.fid_count t2.Session.srv = ref_fids))
+        (Nine.Pool.fid_count t2.Session.pool = ref_fids))
     points;
   match List.rev !failed with
   | [] ->
@@ -2155,7 +1987,7 @@ let ledger_float path key =
 
 let gc_smoke () =
   let s = Session.boot () in
-  let batches, _ = e13_script s in
+  let batches = e13_script s in
   (* warm once so one-time lazy setup is not billed to the measurement *)
   ignore (e13_fleet s.Session.pool ~clients:1 ~batches);
   let o = e13_fleet s.Session.pool ~clients:256 ~batches in
@@ -2293,7 +2125,7 @@ let obs_smoke () =
   (* 6. the gc-smoke allocation baseline still holds with sampling on *)
   let s6 = Session.boot () in
   Trace.set_sampling ~seed:7 ~rate:64 ();
-  let batches, _ = e13_script s6 in
+  let batches = e13_script s6 in
   ignore (e13_fleet s6.Session.pool ~clients:1 ~batches);
   let o = e13_fleet s6.Session.pool ~clients:256 ~batches in
   let words = o.f_minor /. float_of_int o.f_rpcs in
@@ -2731,6 +2563,24 @@ let doc_lint () =
       exit 1
 
 let () =
+  (* a bad --json fails before any section runs, not at the final write *)
+  let json_path =
+    let rec go = function
+      | [] -> None
+      | [ "--json" ] -> usage "--json needs a path"
+      | "--json" :: path :: _ ->
+          let dir = Filename.dirname path in
+          if not (Sys.file_exists dir && Sys.is_directory dir) then
+            usage (Printf.sprintf "--json %s: no such directory %s" path dir);
+          Some path
+      | _ :: rest -> go rest
+    in
+    go (List.tl (Array.to_list Sys.argv))
+  in
+  if Array.exists (fun a -> a = "loc") Sys.argv then begin
+    loc_table ();
+    exit 0
+  end;
   if Array.exists (fun a -> a = "pool-smoke") Sys.argv then pool_smoke ();
   if Array.exists (fun a -> a = "e13-smoke") Sys.argv then e13_smoke ();
   if Array.exists (fun a -> a = "gc-smoke") Sys.argv then gc_smoke ();
@@ -2743,15 +2593,6 @@ let () =
   if Array.exists (fun a -> a = "wal-smoke") Sys.argv then wal_smoke ();
   if Array.exists (fun a -> a = "guide-smoke") Sys.argv then guide_smoke ();
   let quick = Array.exists (fun a -> a = "quick") Sys.argv in
-  let json_path =
-    let n = Array.length Sys.argv in
-    let rec go i =
-      if i >= n then None
-      else if Sys.argv.(i) = "--json" && i + 1 < n then Some Sys.argv.(i + 1)
-      else go (i + 1)
-    in
-    go 1
-  in
   print_endline
     "help: experiment harness for \"A Minimalist Global User Interface\" (Pike, 1991)";
   let demo = e1_demo () in

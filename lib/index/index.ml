@@ -175,19 +175,18 @@ let create ns =
     ix_reindexed = 0;
   }
 
-(* One index per namespace, shared by grep, Cbr and /mnt/help/index. *)
-let registry : (Vfs.t * t) list ref = ref []
+(* One index per namespace, shared by grep, Cbr and /mnt/help/index.
+   Keyed physically and weakly on the namespace: an index lives exactly
+   as long as its namespace, so a live session never loses the buffers
+   Help registered, and a dropped one is not kept reachable. *)
+let registry : (Vfs.t, t) Ephemeron.K1.Bucket.t = Ephemeron.K1.Bucket.make ()
 
 let of_ns ns =
-  match List.find_opt (fun (n, _) -> n == ns) !registry with
-  | Some (_, t) -> t
+  match Ephemeron.K1.Bucket.find registry ns with
+  | Some t -> t
   | None ->
       let t = create ns in
-      let keep =
-        if List.length !registry >= 8 then List.filteri (fun i _ -> i < 7) !registry
-        else !registry
-      in
-      registry := (ns, t) :: keep;
+      Ephemeron.K1.Bucket.add registry ns t;
       t
 
 let enc3 s = (Char.code s.[0] lsl 16) lor (Char.code s.[1] lsl 8) lor Char.code s.[2]

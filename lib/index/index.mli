@@ -57,7 +57,8 @@ val create : Vfs.t -> t
 (** The shared index of a namespace: find-or-create, keyed on the
     namespace value itself.  [grep], the [Cbr] tools and the
     [/mnt/help/index] files of one session all resolve to the same
-    index through this. *)
+    index through this.  The registry holds its key weakly: the index
+    lives exactly as long as its namespace. *)
 val of_ns : Vfs.t -> t
 
 (** Register an open buffer.  Edits mark the document dirty through

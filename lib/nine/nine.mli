@@ -12,185 +12,60 @@
     carried but requests are synchronous; permissions are not modelled
     ([help] has a single user); [iounit] is fixed. *)
 
-(** {1 Wire messages} *)
+(** {1 Wire}
 
-type qid = { q_type : int; q_version : int; q_path : int }
+    Message types and the codec live in {!Wire} (zero-copy slice cursors
+    on decode, reusable patching writers on encode) and are re-exported
+    here, so [Nine.Tread], [Nine.encode_t] and friends name the same
+    things. *)
 
-(** Directory bit of [q_type]. *)
-val qtdir : int
-
-type stat9 = {
-  s9_name : string;
-  s9_qid : qid;
-  s9_length : int;
-  s9_mtime : int;
-}
-
-type open_mode = Oread | Owrite | Ordwr | Otrunc of open_mode
-
-type tmsg =
-  | Tversion of { msize : int; version : string }
-  | Tattach of { fid : int; uname : string; aname : string }
-  | Twalk of { fid : int; newfid : int; names : string list }
-  | Topen of { fid : int; mode : open_mode }
-  | Tcreate of { fid : int; name : string; dir : bool; mode : open_mode }
-  | Tread of { fid : int; offset : int; count : int }
-  | Twrite of { fid : int; offset : int; data : string }
-  | Tclunk of { fid : int }
-  | Tremove of { fid : int }
-  | Tstat of { fid : int }
-  | Tflush of { oldtag : int }
-      (** Cancel the outstanding request carrying [oldtag], if any.
-          Always answered with [Rflush]; whether anything was cancelled
-          shows in the [nine.flush.cancelled] / [nine.flush.stale]
-          counters. *)
-
-type rmsg =
-  | Rversion of { msize : int; version : string }
-  | Rattach of { qid : qid }
-  | Rwalk of { qids : qid list }
-  | Ropen of { qid : qid; iounit : int }
-  | Rcreate of { qid : qid; iounit : int }
-  | Rread of { data : string }
-  | Rwrite of { count : int }
-  | Rclunk
-  | Rremove
-  | Rstat of { stat : stat9 }
-  | Rflush
-  | Rerror of { ename : string }
-
-exception Bad_message of string
-
-(** Raised by a transport to model a reply that never arrived.  The
-    in-process server never raises it; the fault injector ({!Fault})
-    does, and {!Client} treats it as a timed-out request. *)
-exception Timeout
-
-(** Message kind as a short name ("version", "walk", "read", ...);
-    keys the [nine.rpc.<kind>] / [nine.retry.<kind>] counters and the
-    fault injector's per-kind configuration. *)
-val kind_of_t : tmsg -> string
-
-(** {1 Codec}  Messages carry a 16-bit tag, as on the wire.
-
-    The codec itself lives in {!Wire} (zero-copy slice cursors on
-    decode, reusable patching writers on encode) and is re-exported
-    here; these four are the one-shot convenience forms over a shared
-    scratch writer. *)
-
-val encode_t : tag:int -> tmsg -> string
-val decode_t : string -> int * tmsg
-val encode_r : tag:int -> rmsg -> string
-val decode_r : string -> int * rmsg
-
-(** Pack / unpack directory entries as returned by reads of directories. *)
-val encode_stat : stat9 -> string
-
-val decode_stats : string -> stat9 list
+include module type of struct
+  include Wire
+end
 
 (** {1 Server} *)
 
 module Server : sig
+  (** The executor behind a {!Pool}: runs decoded T-messages against a
+      connection's fid table, negotiated msize and [uname].  Every
+      message also feeds the global observability ledger: the
+      [nine.rpc.<kind>] counters, the [nine.rpc.us] round-trip latency
+      histogram and the [nine.fids.live] gauge (see [Trace]). *)
   type t
 
-  (** One client's seat at the server.  Each connection owns a disjoint
-      fid table, its own negotiated msize, and the [uname] its client
-      presented at attach — fids never cross connections. *)
-  type conn
-
-  (** Serve the given file system (its paths are server-relative).  A
-      fresh server has no connections; they are added by {!connection}
-      (usually via {!Pool.attach}) or implicitly by the first {!rpc}. *)
-  val create : Vfs.filesystem -> t
-
-  (** Open a new connection.  [uname] is a provisional label for stats
-      ("none" by default); the [Tattach] on this connection overwrites
-      it with the client's own.  Bumps [nine.conn.attached] and the
-      [nine.conn.active] gauge. *)
-  val connection : ?uname:string -> t -> conn
-
-  (** Close a connection: every open file on it is released, its fid
-      table emptied, and it is removed from the server. *)
-  val disconnect : t -> conn -> unit
-
-  (** Connections currently open, in creation order. *)
-  val connections : t -> conn list
-
-  val conn_id : conn -> int
-  val conn_uname : conn -> string
-
-  (** Requests served on this connection so far. *)
-  val conn_served : conn -> int
-
-  (** Live fids in this connection's table alone. *)
-  val conn_fid_count : conn -> int
-
-  (** One round-trip on an explicit connection: decode a T-message,
-      execute against that connection's fid table and msize, encode the
-      R-message.  Allocates its own trace context ({!Sched.new_request})
-      since no scheduler is involved.  Protocol errors become [Rerror];
-      malformed packets raise {!Bad_message}. *)
-  val conn_rpc : t -> conn -> string -> string
-
-  (** The scheduler's zero-copy entry point: execute one
-      already-decoded T-message and append the framed R-message to the
-      given writer.  [len] is the request's wire length (checked
-      against the connection's msize); [req] is the trace context
-      allocated at submit time — a sampled request's whole execution is
-      recorded as a span tree tagged with its request id, readable as
-      [/mnt/help/trace/<reqid>].  {!conn_rpc} is this plus a decode and
-      a string materialization. *)
-  val conn_dispatch :
-    t ->
-    conn ->
-    Wire.Writer.t ->
-    tag:int ->
-    len:int ->
-    req:Sched.request ->
-    tmsg ->
-    unit
-
-  (** {!conn_rpc} on a lazily-created default connection (uname
-      "direct") — the single-client convenience used by direct tests
-      and the in-process [Cpu] link. *)
-  val rpc : t -> string -> string
-
   (** Number of requests served by {e this} server, by message kind
-      (walk, open, read, ...); used by benches and [Cpu.link_stats].
-      Every message also feeds the global observability ledger: the
-      [nine.rpc.<kind>] counters and the [nine.rpc.us] round-trip
-      latency histogram (see [Trace]). *)
+      (walk, open, read, ...); used by benches and [Cpu.link_stats]. *)
   val stats : t -> (string * int) list
-
-  (** Number of live fids across {e all} connections — the leak
-      detector.  After every client handle is closed it must return to
-      the count held right after attach (one root fid per attached
-      connection).  Also exported as the [nine.fids.live] gauge after
-      each rpc. *)
-  val fid_count : t -> int
 end
 
 (** {1 Pool}
 
-    Many connections over one server.  Since the serving-core rebuild
-    this is a thin compatibility shim over the cooperative scheduler in
-    {!Sched}: requests are queued per connection into a bounded FIFO
-    ring ({!Pool.submit}; a full ring applies backpressure, counted as
-    [nine.backpressure.stalls]) and served in round-robin batches
-    ({!Pool.step} serves up to the pool's batch limit of one
-    connection's requests per turn, observed in the [nine.batch.size]
-    histogram) — each turn of the ready queue serves at most one batch
-    per connection, so a chatty client waits behind everyone else's
-    next batch and can never starve the rest.  Connections are served
-    in ready order, a pure function of the submission schedule, and the
-    server runs on the deterministic logical clock, so the same
-    schedule replays to the same interleaving byte for byte. *)
+    The only way into a {!Server}: its connections and the cooperative
+    scheduler that serves them.  Requests are queued per connection
+    into a bounded FIFO ring ({!Pool.submit}; a full ring applies
+    backpressure, counted as [nine.backpressure.stalls]) and served in
+    round-robin batches ({!Pool.step} serves up to the pool's batch
+    limit of one connection's requests per turn, observed in the
+    [nine.batch.size] histogram) — each turn of the ready queue serves
+    at most one batch per connection, so a chatty client waits behind
+    everyone else's next batch and can never starve the rest.
+    Connections are served in ready order, a pure function of the
+    submission schedule, and the server runs on the deterministic
+    logical clock, so the same schedule replays to the same
+    interleaving byte for byte.
+
+    Each submitted request gets a request id from [Trace.request_id]
+    and a head-sampling verdict ([nine.trace.sampled] /
+    [nine.trace.dropped]); a sampled request's whole execution is
+    recorded as a span tree tagged with its id, readable as
+    [/mnt/help/trace/<reqid>]. *)
 
 module Pool : sig
   type t
 
-  (** One pooled connection: a submission queue plus its {!Server.conn}
-      seat. *)
+  (** One client's seat: a disjoint fid table, its own negotiated
+      msize, the [uname] its client presented at attach, and a
+      submission queue — fids never cross connections. *)
   type conn
 
   (** What became of a submitted request. *)
@@ -199,25 +74,28 @@ module Pool : sig
     | Replied of string  (** served; the encoded R-message *)
     | Flushed  (** cancelled by a later [Tflush] before it ran *)
 
-  (** A fresh server wrapped in an empty pool.  [max_queue] bounds each
-      connection's submission ring and [batch_limit] caps requests
-      served per connection per turn (defaults from {!Sched.create}). *)
+  (** A fresh server for [fs] with no connections.  [max_queue] bounds
+      each connection's submission ring (default 128) and [batch_limit]
+      caps requests served per connection per turn (default 8). *)
   val create : ?max_queue:int -> ?batch_limit:int -> Vfs.filesystem -> t
 
-  (** The underlying server (stats, fid accounting). *)
+  (** The underlying server (per-kind stats). *)
   val server : t -> Server.t
 
-  (** Open a connection and add it at the back of the scheduler ring. *)
+  (** Open a connection and add it at the back of the scheduler ring.
+      [uname] is a provisional label for stats ("none" by default); the
+      [Tattach] on this connection overwrites it with the client's own.
+      Bumps [nine.conn.attached] and the [nine.conn.active] gauge. *)
   val attach : ?uname:string -> t -> conn
 
-  (** Remove the connection from the ring and release its fids.  Its
-      queued requests are dropped unserved. *)
+  (** Close the connection: its queued requests are dropped unserved,
+      every open file on it is released and its fid table emptied.
+      Idempotent. *)
   val disconnect : conn -> unit
 
-  val conn_id : conn -> int
   val uname : conn -> string
 
-  (** Requests served on this connection (from {!Server.conn_served}). *)
+  (** Requests served on this connection. *)
   val served : conn -> int
 
   (** Queue [packet] and return a ticket for {!poll}/{!take}.  A
@@ -268,8 +146,8 @@ module Pool : sig
       @raise Timeout if the request was flushed before running. *)
   val transport : conn -> string -> string
 
-  (** [(conn_id, uname, served, live fids)] per connection, in attach
-      order. *)
+  (** [(conn_id, uname, served, live fids)] per open connection, in
+      attach order. *)
   val stats : t -> (int * string * int * int) list
 
   (** Most-served over least-served connection, among connections that
@@ -277,7 +155,9 @@ module Pool : sig
       [infinity] means a requester was never served. *)
   val fairness_spread : t -> float
 
-  (** {!Server.fid_count} of the pooled server. *)
+  (** Live fids across all connections — the leak detector.  After
+      every client handle is closed it must return to the count held
+      right after attach (one root fid per attached connection). *)
   val fid_count : t -> int
 
   (** [record_journal p true] starts recording [(clock reading, conn
@@ -292,10 +172,12 @@ module Pool : sig
   (** The journal recorded so far, oldest first ([] if off). *)
   val journal : t -> (int * int * string) list
 
-  (** Install (or clear) a durability sink on the pool's scheduler:
-      it receives every dispatch record before the bounded ring can
-      evict it (see {!Sched.set_journal_sink}).  The WAL uses this to
-      persist the dispatch transcript without racing ring eviction. *)
+  (** Install (or clear) a durability sink that receives every
+      dispatch record as it is made — before the bounded ring can evict
+      anything, so a consumer that persists entries (the WAL) never
+      loses one to a ring drop.  With the ring off, sink records are
+      stamped with the clock's current position rather than a reading,
+      so installing a sink does not perturb timestamps. *)
   val set_journal_sink : t -> (int * int * string -> unit) option -> unit
 end
 
@@ -337,16 +219,17 @@ module Client : sig
   val filesystem : t -> Vfs.filesystem
 end
 
-(** [serve_mount ns path fs] wires a pooled server for [fs] to a fresh
+(** [serve_mount ns path fs] wires a fresh pool serving [fs] to a
     client and mounts the client's view at [path] in [ns]: from then on
-    all access to [path] crosses the protocol.  Returns the server (for
-    stats).  [?wrap] interposes on the transport (e.g. {!Fault.wrap});
-    the client connects {e before} the mount, so a transport that
-    cannot complete version/attach raises with the namespace
-    untouched.  [?max_retries] sets the client's retry budget — raise
-    it alongside an aggressive fault schedule.  [?uname] (default
-    "help") labels the mount's own connection in per-connection
-    stats. *)
+    all access to [path] crosses the protocol.  Returns the pool, so
+    further clients can {!Pool.attach} to the same server — how a
+    session becomes multi-tenant (see [Session.attach_client]).
+    [?wrap] interposes on the transport (e.g. {!Fault.wrap}); the
+    client connects {e before} the mount, so a transport that cannot
+    complete version/attach raises with the namespace untouched.
+    [?max_retries] sets the client's retry budget — raise it alongside
+    an aggressive fault schedule.  [?uname] (default "help") labels the
+    mount's own connection in per-connection stats. *)
 val serve_mount :
   ?wrap:((string -> string) -> string -> string) ->
   ?max_retries:int ->
@@ -354,19 +237,4 @@ val serve_mount :
   Vfs.t ->
   string ->
   Vfs.filesystem ->
-  Server.t
-
-(** {!serve_mount}, also returning the pool so further clients can
-    {!Pool.attach} to the same server — how a session becomes
-    multi-tenant (see [Session.attach_client]).  [?max_queue] and
-    [?batch_limit] tune the pool's scheduler (see {!Pool.create}). *)
-val serve_mount_pool :
-  ?wrap:((string -> string) -> string -> string) ->
-  ?max_retries:int ->
-  ?max_queue:int ->
-  ?batch_limit:int ->
-  ?uname:string ->
-  Vfs.t ->
-  string ->
-  Vfs.filesystem ->
-  Server.t * Pool.t
+  Pool.t

@@ -47,6 +47,10 @@ type tmsg =
   | Tremove of { fid : int }
   | Tstat of { fid : int }
   | Tflush of { oldtag : int }
+      (** Cancel the outstanding request carrying [oldtag], if any.
+          Always answered with [Rflush]; whether anything was cancelled
+          shows in the [nine.flush.cancelled] / [nine.flush.stale]
+          counters. *)
 
 type rmsg =
   | Rversion of { msize : int; version : string }
@@ -67,7 +71,9 @@ exception Bad_message of string
     unrepresentable values, e.g. a string longer than 16 bits). *)
 
 exception Timeout
-(** Raised by a transport to model a reply that never arrived. *)
+(** Raised by a transport to model a reply that never arrived.  The
+    in-process server never raises it; the fault injector ({!Fault})
+    does, and [Nine.Client] treats it as a timed-out request. *)
 
 val kind_of_t : tmsg -> string
 (** Short lowercase name of a T-message ("walk", "read", ...), the key

@@ -3,7 +3,6 @@ type t = {
   sh : Rc.t;
   help : Help.t;
   db : Db.t;
-  srv : Nine.Server.t;
   pool : Nine.Pool.t;
   metrics : Metrics.t;
   cpu : Cpu.t option;
@@ -168,8 +167,8 @@ let install_wal t a =
         | Some a when Wal.recording a -> Wal.log a (Wal.O_event ev)
         | _ -> ())
 
-let boot ?w ?h ?place ?(remote = false) ?fault ?max_queue ?batch_limit
-    ?wal:wal_store ?checkpoint_every () =
+let boot ?w ?h ?place ?(remote = false) ?fault ?wal:wal_store ?checkpoint_every
+    () =
   (* each session starts a fresh observability ledger (and a fresh
      logical trace clock), so scripted sessions trace identically; the
      stock alert rules watch the serving layer from the first RPC *)
@@ -208,9 +207,8 @@ let boot ?w ?h ?place ?(remote = false) ?fault ?max_queue ?batch_limit
   (* the WAL attachment is created after the mount, so the server gets a
      cell it can read later: /mnt/help/wal appears once one exists *)
   let wal_ref = ref None in
-  let srv, pool =
-    Help_srv.mount_multi ?wrap:(Option.map Fault.wrap fault) ?max_retries
-      ?max_queue ?batch_limit
+  let pool =
+    Help_srv.mount ?wrap:(Option.map Fault.wrap fault) ?max_retries
       ~wal:(fun () -> !wal_ref)
       help
   in
@@ -250,7 +248,7 @@ let boot ?w ?h ?place ?(remote = false) ?fault ?max_queue ?batch_limit
     end
   in
   let t =
-    { ns; sh; help; db; srv; pool; metrics; cpu; wal = wal_ref; in_op = false }
+    { ns; sh; help; db; pool; metrics; cpu; wal = wal_ref; in_op = false }
   in
   (match wal_store with
   | None -> ()
@@ -529,8 +527,7 @@ let apply t op =
   | Wal.O_remove p -> remove_file t p
   | Wal.O_mkdir p -> mkdir t p
 
-let recover ?w ?h ?place ?remote ?fault ?max_queue ?batch_limit
-    ?checkpoint_every store =
+let recover ?w ?h ?place ?remote ?fault ?checkpoint_every store =
   let sn =
     match Wal.latest_snapshot store with
     | Some sn -> sn
@@ -541,7 +538,7 @@ let recover ?w ?h ?place ?remote ?fault ?max_queue ?batch_limit
   Wal.verify_journal store;
   (* 1. re-run boot: mounts, tools, profile, mk — everything the
      snapshot deliberately does not capture *)
-  let t = boot ?w ?h ?place ?remote ?fault ?max_queue ?batch_limit () in
+  let t = boot ?w ?h ?place ?remote ?fault () in
   let a = Wal.attach ?checkpoint_every ~recording:false store in
   let get = Wal.chunk_get store in
   (* 2. structural restore over the booted skeleton *)

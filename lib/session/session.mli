@@ -14,7 +14,6 @@ type t = {
   sh : Rc.t;
   help : Help.t;
   db : Db.t;
-  srv : Nine.Server.t;
   pool : Nine.Pool.t;
       (** the [/mnt/help] connection pool; {!attach_client} adds seats *)
   metrics : Metrics.t;
@@ -61,8 +60,6 @@ val boot :
   ?place:Hplace.strategy ->
   ?remote:bool ->
   ?fault:Fault.config ->
-  ?max_queue:int ->
-  ?batch_limit:int ->
   ?wal:Wal.store ->
   ?checkpoint_every:int ->
   unit ->
@@ -91,8 +88,6 @@ val recover :
   ?place:Hplace.strategy ->
   ?remote:bool ->
   ?fault:Fault.config ->
-  ?max_queue:int ->
-  ?batch_limit:int ->
   ?checkpoint_every:int ->
   Wal.store ->
   t

@@ -13,7 +13,7 @@
     A {!store} is the durable half: the append-only log, the
     content-addressed chunk store shared by all snapshots, the snapshot
     records, and the journal sidecar fed by the scheduler's dispatch
-    sink (see [Sched.set_journal_sink]).  A {!t} is one session's
+    sink (see [Nine.Pool.set_journal_sink]).  A {!t} is one session's
     attachment to a store: it carries the recording mode, the
     checkpoint policy, and per-attachment recovery statistics.
 
@@ -188,7 +188,7 @@ val set_recovery_us : t -> int -> unit
 (** {1 Journal sidecar} *)
 
 val journal_entry : t -> int * int * string -> unit
-(** Sink target for [Sched.set_journal_sink]: persist one
+(** Sink target for [Nine.Pool.set_journal_sink]: persist one
     [(clock, conn, kind)] dispatch record under the next sequence
     number.  In replay mode only the [wal.journal.entries] counter
     advances. *)

@@ -166,6 +166,33 @@ let buffer_generations () =
   check_int "closed buffer leaves no hits" 0
     (List.length (Index.grep_buffers ix (re "abc")))
 
+(* ------------------------------------------------------------------ *)
+(* The per-namespace registry                                          *)
+
+(* A live namespace keeps its index, and with it the buffers Help
+   registered, however many namespaces come after it. *)
+let registry_keeps_live_index () =
+  let ns = Vfs.create () in
+  Index.add_buffer (Index.of_ns ns) ~name:"a" (Buffer0.create "kept text\n");
+  for _ = 1 to 9 do
+    ignore (Index.of_ns (Vfs.create ()))
+  done;
+  check_int "the buffer is still indexed" 1
+    (List.length (Index.grep_buffers (Index.of_ns ns) (re "kept text")))
+
+(* A dropped namespace is not kept reachable by its index. *)
+let registry_releases_dropped_ns () =
+  let collected = ref false in
+  let register () =
+    let ns = Vfs.create () in
+    Gc.finalise_last (fun () -> collected := true) ns;
+    ignore (Index.of_ns ns)
+  in
+  register ();
+  Gc.full_major ();
+  Gc.full_major ();
+  check_bool "namespace collected" true !collected
+
 let () =
   Alcotest.run "index"
     [
@@ -182,5 +209,12 @@ let () =
         [
           Alcotest.test_case "buffer generations" `Quick buffer_generations;
           QCheck_alcotest.to_alcotest prop_buffer_edits;
+        ] );
+      ( "of_ns",
+        [
+          Alcotest.test_case "a live namespace keeps its index" `Quick
+            registry_keeps_live_index;
+          Alcotest.test_case "a dropped namespace is released" `Quick
+            registry_releases_dropped_ns;
         ] );
     ]

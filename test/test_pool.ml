@@ -22,6 +22,11 @@ let reply_of = function
   | Waiting -> Alcotest.fail "request still waiting"
   | Flushed -> Alcotest.fail "request unexpectedly flushed"
 
+(* live fids of the [i]-th open connection, in attach order *)
+let fids_of pool i =
+  let _, _, _, fids = List.nth (Nine.Pool.stats pool) i in
+  fids
+
 (* a pool over a ramfs with [n] raw attached connections *)
 let raw_pool n =
   let ns = Vfs.create () in
@@ -113,9 +118,7 @@ let isolation_tests =
               (Hstr.find ename ~sub:"unknown fid" <> None)
         | _ -> Alcotest.fail "expected Rerror");
         ignore b;
-        check_int "A keeps root + 7" 2
-          (Nine.Server.conn_fid_count
-             (List.nth (Nine.Server.connections (Nine.Pool.server pool)) 0));
+        check_int "A keeps root + 7" 2 (fids_of pool 0);
         ignore (Nine.Pool.served a));
   ]
 
@@ -136,8 +139,7 @@ let isolation_property =
                (tmsg ~tag:(10 + newfid)
                   (Nine.Twalk { fid = 0; newfid; names = [] }))))
         [ 1; 2; 3; 4; 5 ];
-      let sconn_a = List.nth (Nine.Server.connections (Nine.Pool.server pool)) 0 in
-      let before = Nine.Server.conn_fid_count sconn_a in
+      let before = fids_of pool 0 in
       List.iteri
         (fun i fid ->
           ignore
@@ -147,7 +149,7 @@ let isolation_property =
                (tmsg ~tag:(200 + i)
                   (Nine.Twalk { fid; newfid = fid + 1; names = [] }))))
         fids;
-      Nine.Server.conn_fid_count sconn_a = before)
+      fids_of pool 0 = before)
 
 (* ------------------------------------------------------------------ *)
 (* Fairness and determinism                                            *)
@@ -229,8 +231,7 @@ let fairness_tests =
         check_int "one root fid per seat" 3 (Nine.Pool.fid_count pool);
         Nine.Pool.disconnect (List.nth conns 1);
         check_int "two seats left" 2 (Nine.Pool.fid_count pool);
-        check_int "server agrees" 2
-          (List.length (Nine.Server.connections (Nine.Pool.server pool))));
+        check_int "server agrees" 2 (List.length (Nine.Pool.stats pool)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -277,7 +278,7 @@ let session_tests =
     Alcotest.test_case "attach_client: a second program drives help" `Quick
       (fun () ->
         let s = Session.boot () in
-        let baseline = Nine.Server.fid_count s.srv in
+        let baseline = Nine.Pool.fid_count s.pool in
         let conn, fs = Session.attach_client ~uname:"probe" s in
         let scratch = Vfs.create () in
         Vfs.mount scratch "/h" fs;
@@ -299,7 +300,7 @@ let session_tests =
         (* no cross-connection fid leaks once the probe leaves *)
         Nine.Pool.disconnect conn;
         check_int "fids back to baseline" baseline
-          (Nine.Server.fid_count s.srv));
+          (Nine.Pool.fid_count s.pool));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -420,7 +421,7 @@ let scheduler_tests =
       `Quick (fun () ->
         let s = Session.boot () in
         let active0 = counter_value "nine.conn.active" in
-        let fid0 = Nine.Server.fid_count s.srv in
+        let fid0 = Nine.Pool.fid_count s.pool in
         let clients =
           List.init 5 (fun i ->
               fst (Session.attach_client ~uname:(Printf.sprintf "churn%d" i) s))
@@ -433,7 +434,30 @@ let scheduler_tests =
         Nine.Pool.disconnect (List.hd clients);
         check_int "gauge back to baseline" active0
           (counter_value "nine.conn.active");
-        check_int "fids back to baseline" fid0 (Nine.Server.fid_count s.srv));
+        check_int "fids back to baseline" fid0 (Nine.Pool.fid_count s.pool));
+    Alcotest.test_case "connection churn leaves nothing behind" `Quick
+      (fun () ->
+        (* 1,000 clients come and go on a booted session: the metrics
+           registry, the pool's connection table, the fid ledger and the
+           active gauge all end where they started *)
+        let s = Session.boot () in
+        let counters () = List.length (Trace.find_prefix "nine.conn.") in
+        let counters0 = counters () in
+        let conns0 = List.length (Nine.Pool.stats s.pool) in
+        let fid0 = Nine.Pool.fid_count s.pool in
+        let active0 = counter_value "nine.conn.active" in
+        for i = 1 to 1000 do
+          let conn, _ =
+            Session.attach_client ~uname:(Printf.sprintf "churn%d" i) s
+          in
+          Nine.Pool.disconnect conn
+        done;
+        check_int "no per-connection metrics left" counters0 (counters ());
+        check_int "connection table back to baseline" conns0
+          (List.length (Nine.Pool.stats s.pool));
+        check_int "fids back to baseline" fid0 (Nine.Pool.fid_count s.pool);
+        check_int "gauge back to baseline" active0
+          (counter_value "nine.conn.active"));
   ]
 
 let () =

@@ -126,7 +126,7 @@ let tests =
         let _, sh, help, srv = fresh () in
         let w = Help.new_window help ~body:"x" () in
         let _ = Rc.run sh (Printf.sprintf "cat /mnt/help/%d/body" (Hwin.id w)) in
-        let stats = Nine.Server.stats srv in
+        let stats = Nine.Server.stats (Nine.Pool.server srv) in
         check_bool "walk+open+read counted" true
           (List.mem_assoc "walk" stats && List.mem_assoc "open" stats
           && List.mem_assoc "read" stats));

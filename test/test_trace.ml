@@ -163,7 +163,7 @@ let trace_over_the_mount () =
 let nine_tallies () =
   Trace.reset ();
   let ns = Vfs.create () in
-  let srv = Nine.serve_mount ns "/mnt/nine" (Vfs.ramfs ns) in
+  let pool = Nine.serve_mount ns "/mnt/nine" (Vfs.ramfs ns) in
   Vfs.write_file ns "/mnt/nine/f" "tally";
   check_str "read back" "tally" (Vfs.read_file ns "/mnt/nine/f");
   ignore (Vfs.readdir ns "/mnt/nine");
@@ -175,7 +175,7 @@ let nine_tallies () =
     [ "version"; "attach"; "walk"; "open"; "read"; "write"; "clunk" ];
   (* only one server has run since the reset, so the global ledger must
      equal its per-link view exactly *)
-  let per_link = Nine.Server.stats srv in
+  let per_link = Nine.Server.stats (Nine.Pool.server pool) in
   List.iter
     (fun (k, v) -> check_int ("ledger agrees on " ^ k) v (global k))
     per_link;
