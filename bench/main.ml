@@ -343,6 +343,10 @@ let lib_loc () =
       |> List.map (fun d -> ("lib/" ^ d, dir_loc (Filename.concat lib d))))
     (find "." 0)
 
+(* E6's interface proper: what compares with the paper's C *)
+let interface_proper libs =
+  List.assoc "lib/core" libs + List.assoc "lib/srv" libs
+
 (* The code-size ledger: every library, the lib/ total and E6's
    interface proper (core + srv), printed and kept for --json. *)
 let loc_table () =
@@ -350,7 +354,7 @@ let loc_table () =
   | None -> row "(source tree not reachable from the working directory; skipped)\n"
   | Some libs ->
       let total = List.fold_left (fun acc (_, n) -> acc + n) 0 libs in
-      let proper = List.assoc "lib/core" libs + List.assoc "lib/srv" libs in
+      let proper = interface_proper libs in
       row "%-30s %8s\n" "library (.ml + .mli lines)" "LoC";
       List.iter (fun (d, n) -> row "%-30s %8d\n" d n) libs;
       row "%-30s %8d\n" "TOTAL (lib/)" total;
@@ -1982,7 +1986,10 @@ let ledger_float path key =
       | Some at ->
           let rest = String.sub s (at + String.length pat)
               (min 64 (String.length s - at - String.length pat)) in
-          let num = String.trim (List.hd (String.split_on_char ',' rest)) in
+          (* the value ends at a comma, or at the line's end when it
+             is the last key of its block *)
+          let line = List.hd (String.split_on_char '\n' (String.trim rest)) in
+          let num = String.trim (List.hd (String.split_on_char ',' line)) in
           float_of_string_opt num)
 
 let gc_smoke () =
@@ -2012,6 +2019,35 @@ let gc_smoke () =
           current baseline;
         exit 0
       end
+
+(* ------------------------------------------------------------------ *)
+(* loc-smoke: the code-size gate.  E6 claims help is smaller than the
+   C it replaces; the interface proper (core + srv) may not outgrow the
+   loc block ledgered in BENCH_results.json, the way gc-smoke holds
+   minor words.  Line counts are exact, so the bound has no slack. *)
+
+let loc_smoke () =
+  match lib_loc () with
+  | None ->
+      print_endline "loc-smoke FAIL: lib/ not reachable from the working directory";
+      exit 1
+  | Some libs -> (
+      let current = interface_proper libs in
+      match ledger_float "BENCH_results.json" "interface_proper" with
+      | None ->
+          print_endline
+            "loc-smoke FAIL: no interface_proper in BENCH_results.json";
+          exit 1
+      | Some baseline when float_of_int current > baseline ->
+          Printf.printf
+            "loc-smoke FAIL: interface proper %d lines vs ledgered %.0f\n"
+            current baseline;
+          exit 1
+      | Some baseline ->
+          Printf.printf
+            "loc-smoke: ok (interface proper %d lines vs ledgered %.0f)\n"
+            current baseline;
+          exit 0)
 
 (* ------------------------------------------------------------------ *)
 (* obs-smoke: the serving-telemetry gate.  Replays the figure session
@@ -2584,6 +2620,7 @@ let () =
   if Array.exists (fun a -> a = "pool-smoke") Sys.argv then pool_smoke ();
   if Array.exists (fun a -> a = "e13-smoke") Sys.argv then e13_smoke ();
   if Array.exists (fun a -> a = "gc-smoke") Sys.argv then gc_smoke ();
+  if Array.exists (fun a -> a = "loc-smoke") Sys.argv then loc_smoke ();
   if Array.exists (fun a -> a = "obs-smoke") Sys.argv then obs_smoke ();
   if Array.exists (fun a -> a = "doc-lint") Sys.argv then doc_lint ();
   if Array.exists (fun a -> a = "trace-smoke") Sys.argv then trace_smoke ();

@@ -42,7 +42,6 @@ let string t = Buffer0.to_string t.buf
 let rope t = Buffer0.text t.buf
 let sel t = (t.q0, t.q1)
 let view_gen t = t.vgen
-let touch t = t.vgen <- t.vgen + 1
 
 let clamp t q = max 0 (min q (length t))
 
@@ -107,12 +106,6 @@ let last_frame t =
   match t.cache with
   | Some c when c.c_gen = Buffer0.generation t.buf -> Some c.c_frame
   | _ -> None
-
-let line_start_of t q =
-  let text = Buffer0.text t.buf in
-  match Rope.rindex_before text (clamp t q) '\n' with
-  | Some i -> i + 1
-  | None -> 0
 
 let show t ~w ~h q =
   let q = clamp t q in

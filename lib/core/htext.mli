@@ -20,15 +20,11 @@ val rope : t -> Rope.t
 val sel : t -> int * int
 
 (** Monotonic view generation: bumped whenever this view could render
-    differently — buffer edits seen by this view, selection changes,
-    origin moves, and explicit {!touch}.  Equal generations mean the
+    differently — buffer edits seen by this view, selection changes
+    and origin moves.  Equal generations mean the
     view's text, selection and origin are unchanged, so cached
     renderings and token scans of it are still valid. *)
 val view_gen : t -> int
-
-(** Force-bump the view generation (used when out-of-band state baked
-    into a cached rendering of this view changes). *)
-val touch : t -> unit
 
 val set_sel : t -> int -> int -> unit
 
@@ -63,9 +59,6 @@ val last_frame : t -> Frame.t option
     keeping it roughly in the upper part of the frame.  The origin
     lands on a line start. *)
 val show : t -> w:int -> h:int -> int -> unit
-
-(** Offset of the start of the line containing [q]. *)
-val line_start_of : t -> int -> int
 
 (** Select 1-based line [n] and return its start offset ([None] when
     out of range). *)

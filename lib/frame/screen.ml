@@ -6,8 +6,6 @@ let create w h =
   if w <= 0 || h <= 0 then invalid_arg "Screen.create";
   { w; h; chars = Bytes.make (w * h) ' '; attrs = Array.make (w * h) Plain }
 
-let width s = s.w
-let height s = s.h
 
 let set s ~x ~y ch attr =
   if x >= 0 && x < s.w && y >= 0 && y < s.h then begin

@@ -17,8 +17,6 @@ type attr =
 type t
 
 val create : int -> int -> t
-val width : t -> int
-val height : t -> int
 
 (** [set scr ~x ~y ch attr]; out-of-bounds writes are ignored (clipping). *)
 val set : t -> x:int -> y:int -> char -> attr -> unit

@@ -137,7 +137,6 @@ type doc = {
   d_src : src;
   mutable d_ok : bool;  (* tokenized and current at last validation *)
   mutable d_seen : bool;  (* tokenized at least once (reindex meter) *)
-  mutable d_dirty : bool;  (* damage flag set by Buffer0.on_edit *)
   mutable d_stamp : int * int * int;
   mutable d_tris : int array;  (* sorted distinct trigrams posted *)
 }
@@ -299,18 +298,17 @@ let revalidate_file t doc path =
         | exception Vfs.Error _ -> clear_doc t doc
         | content -> tokenize_doc t doc content stamp)
 
-let revalidate_buffer _t doc b =
+let revalidate_buffer t doc b =
   let gen = Buffer0.generation b in
-  let stamp = (gen, 0, 0) in
-  doc.d_dirty <- false;
-  if (not doc.d_ok) || stamp <> doc.d_stamp then
-    tokenize_doc _t doc (Buffer0.to_string b) stamp
+  match doc.d_stamp with
+  | g, _, _ when doc.d_ok && g = gen -> ()
+  | _ -> tokenize_doc t doc (Buffer0.to_string b) (gen, 0, 0)
 
 (* Lazy staleness: file documents are swept only when the namespace
    mutation counter has moved since the last sweep (an unmoved counter
-   proves no file changed); buffer documents carry a damage flag set on
-   edit and compare Buffer0 generations.  Nothing is touched on the
-   keystroke itself. *)
+   proves no file changed); buffer documents compare their Buffer0
+   generation with the one they were tokenized at.  Nothing is touched
+   on the keystroke itself. *)
 let validate t =
   let g = Vfs.generation t.ix_ns in
   if g <> t.ix_nsgen then begin
@@ -325,7 +323,7 @@ let validate t =
   List.iter
     (fun doc ->
       match doc.d_src with
-      | S_buf b -> if doc.d_dirty || not doc.d_ok then revalidate_buffer t doc b
+      | S_buf b -> revalidate_buffer t doc b
       | S_file _ -> ())
     t.ix_bufs;
   Trace.set_gauge g_docs (Hashtbl.length t.ix_docs);
@@ -339,7 +337,6 @@ let new_doc t key src =
       d_src = src;
       d_ok = false;
       d_seen = false;
-      d_dirty = false;
       d_stamp = stamp_none;
       d_tris = [||];
     }
@@ -381,8 +378,7 @@ let add_buffer t ~name b =
     in
     let key = fresh (buf_key name) 2 in
     let doc = new_doc t key (S_buf b) in
-    t.ix_bufs <- t.ix_bufs @ [ doc ];
-    Buffer0.on_edit b (fun _ -> doc.d_dirty <- true)
+    t.ix_bufs <- t.ix_bufs @ [ doc ]
   end
 
 let remove_buffer t b =
@@ -404,8 +400,7 @@ let rebuild t =
     (fun _ doc ->
       doc.d_tris <- [||];
       doc.d_stamp <- stamp_none;
-      doc.d_ok <- false;
-      doc.d_dirty <- true)
+      doc.d_ok <- false)
     t.ix_docs;
   Hashtbl.reset t.ix_post;
   t.ix_npost <- 0;

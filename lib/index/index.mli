@@ -13,9 +13,9 @@
     Staleness is tracked with the same generation counters the
     incremental pipeline uses: file documents carry the {!Vfs} stat
     fingerprint (version/length/mtime) and are revalidated only when
-    the namespace mutation counter has moved; buffer documents are
-    damage-flagged by {!Buffer0.on_edit} and re-tokenized lazily on the
-    next query, never on a keystroke.
+    the namespace mutation counter has moved; buffer documents carry the
+    {!Buffer0.generation} they were tokenized at and are re-tokenized
+    lazily on the next query, never on a keystroke.
 
     Counters: [index.docs], [index.postings], [index.query.candidates],
     [index.query.skipped_docs], [index.query.fallbacks],
@@ -61,8 +61,8 @@ val create : Vfs.t -> t
     lives exactly as long as its namespace. *)
 val of_ns : Vfs.t -> t
 
-(** Register an open buffer.  Edits mark the document dirty through
-    {!Buffer0.on_edit}; re-tokenization happens on the next query. *)
+(** Register an open buffer.  The next query after an edit sees its
+    {!Buffer0.generation} move and re-tokenizes it. *)
 val add_buffer : t -> name:string -> Buffer0.t -> unit
 
 (** Deregister (window closed).  Postings are withdrawn. *)

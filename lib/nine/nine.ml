@@ -858,15 +858,17 @@ module Client = struct
             f b)
     | None -> f (Buffer.create 8192)
 
-  let walk c names =
+  let walk_qids c names =
     let fid = fresh_fid c in
     match rpc c (Twalk { fid = root_fid; newfid = fid; names }) with
-    | Rwalk { qids } when List.length qids = List.length names -> fid
+    | Rwalk { qids } when List.length qids = List.length names -> (fid, qids)
     | Rwalk _ ->
         (* a short walk did not bind newfid; accepting it would leave
            every subsequent operation on a dangling fid *)
         raise (Vfs.Error Vfs.Enonexist)
     | _ -> bad "expected Rwalk"
+
+  let walk c names = fst (walk_qids c names)
 
   (* A clunk error cannot be usefully handled: the fid is gone either
      way, and a retried clunk whose first reply was lost legitimately
@@ -955,14 +957,14 @@ module Client = struct
         of_close = (fun () -> clunk c fid);
       }
     in
-    let fs_open path mode ~trunc =
-      let fid = walk c path in
+    let open_walked fid mode ~trunc =
       (try open_fid fid mode trunc
        with e ->
          (try clunk c fid with _ -> ());
          raise e);
       openfile_of_fid fid
     in
+    let fs_open path mode ~trunc = open_walked (walk c path) mode ~trunc in
     let fs_create path ~dir =
       match List.rev path with
       | [] -> raise (Vfs.Error Vfs.Eperm)
@@ -986,7 +988,15 @@ module Client = struct
           raise e
     in
     let fs_readdir path =
-      let f = fs_open path Vfs.Read ~trunc:false in
+      (* refuse a file by its walked qid (the attach root is always a
+         directory): opening it first could act, as help's new/ctl does *)
+      let fid, qids = walk_qids c path in
+      (match List.rev qids with
+      | q :: _ when q.q_type land qtdir = 0 ->
+          clunk c fid;
+          raise (Vfs.Error Vfs.Enotdir)
+      | _ -> ());
+      let f = open_walked fid Vfs.Read ~trunc:false in
       let b = Buffer.create 512 in
       Fun.protect
         ~finally:(fun () -> try f.Vfs.of_close () with _ -> ())

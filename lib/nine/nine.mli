@@ -215,7 +215,8 @@ module Client : sig
 
   (** View the remote tree as a local {!Vfs.filesystem}: each operation
       becomes walk/open/read/write/clunk round-trips.  Reads and writes
-      are chunked to fit the negotiated msize. *)
+      are chunked to fit the negotiated msize.  A directory read of a
+      file fails with [Enotdir] before the file is opened. *)
   val filesystem : t -> Vfs.filesystem
 end
 

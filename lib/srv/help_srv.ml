@@ -13,417 +13,235 @@ let index_text help =
            (first_line (Hwin.tag_text w)))
        (Help.windows help))
 
-(* A read-only openfile over a string snapshot. *)
-let string_file data =
-  {
-    Vfs.of_read =
-      (fun ~off ~count ->
-        let len = String.length data in
-        if off >= len then "" else String.sub data off (min count (len - off)));
-    of_write = (fun ~off:_ _ -> err Vfs.Eperm);
-    of_close = (fun () -> ());
-  }
+(* What a path names.  [filesystem] decides it once, in [node]; stat,
+   open, readdir and remove only interpret the answer. *)
+type node =
+  | Dir of int * (unit -> string list)  (* stat length, listed names *)
+  | Win of Hwin.t  (* a window's directory, listing [win_files] *)
+  | Text of (unit -> string)  (* rendered at stat for its length *)
+  | Moving of (unit -> string)  (* length 0: rendered only at open *)
+  | Request of int * string  (* a sampled request and its span tree *)
+  | Trigger of (string -> unit)  (* length 0, reads empty; writes act *)
+  | Tag of Hwin.t
+  | Body of Hwin.t
+  | Ctl of Hwin.t
 
-let stat_of ~name ~dir ~length now =
-  { Vfs.st_name = name; st_dir = dir; st_length = length; st_mtime = now;
-    st_version = 0 }
+let win_files = [ "tag"; "body"; "bodyapp"; "ctl" ]
+
+(* [off]/[count] reads of a fixed string *)
+let slice s ~off ~count =
+  let len = String.length s in
+  if off >= len then "" else String.sub s off (min count (len - off))
+
+let openfile ?(close = ignore) ~write read =
+  { Vfs.of_read = read; of_write = write; of_close = close }
+
+let string_file s =
+  openfile (fun ~off ~count -> slice s ~off ~count) ~write:(fun ~off:_ _ ->
+      err Vfs.Eperm)
+
+(* reads of a live subwindow take the range, never the whole rope *)
+let text_file t ~write =
+  openfile (fun ~off ~count -> Htext.read t off (off + count)) ~write
+
+let status w =
+  let q0, q1 = Htext.sel (Hwin.body w) in
+  Printf.sprintf "%d %d %d %d %d\n" (Hwin.id w)
+    (Htext.length (Hwin.body w))
+    (if Hwin.dirty w then 1 else 0)
+    q0 q1
+
+let found = function Some x -> x | None -> err Vfs.Enonexist
+
+let spans (s, dropped) = Trace.spans_text ~dropped s
+
+let rec last = function [] -> "/" | [ c ] -> c | _ :: p -> last p
 
 let filesystem ?(wal = fun () -> None) help =
   let ns = Help.ns help in
-  let now () = Vfs.now ns in
-  let win id =
-    match Help.window_by_id help id with
-    | Some w -> w
-    | None -> err Vfs.Enonexist
-  in
   (* the session attaches its WAL after the mount, so the tree reads
      the cell on every access: wal/ appears once an attachment exists *)
-  let the_wal () =
-    match wal () with Some a -> a | None -> err Vfs.Enonexist
+  let the_wal () = found (wal ()) in
+  let win id = found (Help.window_by_id help (found (int_of_string_opt id))) in
+  (* the fixed nodes are built once, so a lookup allocates nothing *)
+  let root =
+    Dir
+      ( 0,
+        fun () ->
+          [ "index"; "stats"; "metrics"; "alerts"; "trace"; "guide"; "new" ]
+          @ (if Option.is_none (wal ()) then [] else [ "wal" ])
+          @ List.map (fun w -> string_of_int (Hwin.id w)) (Help.windows help)
+      )
   in
-  let body_text w = Htext.string (Hwin.body w) in
-  let parse_path = function
-    | [] -> `Root
-    | [ "index" ] -> `Index
-    (* like trace/, the children live under a path whose head is
-       itself a readable file (the window list) and are reached by
-       direct walk *)
-    | [ "index"; "stats" ] -> `Ixstats
-    | [ "index"; "postings" ] -> `Ixpostings
-    | [ "index"; "rebuild" ] -> `Ixrebuild
-    | [ "stats" ] -> `Stats
-    | [ "metrics" ] -> `Metrics
-    | [ "alerts" ] -> `Alerts
-    | [ "trace" ] -> `Trace
-    | [ "new" ] -> `New
-    | [ "new"; "ctl" ] -> `Newctl
-    (* per-request views live under trace/ but are reached by direct
-       walk — [trace] itself remains the (draining) log file *)
-    | [ "trace"; "last" ] -> `TraceLast
-    | [ "trace"; rid ] -> (
-        match int_of_string_opt rid with
-        | Some r -> `TraceReq r
-        | None -> err Vfs.Enonexist)
-    (* the manual: guide is the page index, pages are reached by
-       direct walk through it — the trace/ arrangement again *)
-    | [ "guide" ] -> `Guide
-    | [ "guide"; pg ] -> `GuidePage pg
-    | [ "wal" ] -> `WalDir
-    | [ "wal"; "stats" ] -> `Wstats
-    | [ "wal"; "checkpoint" ] -> `Wcheckpoint
-    | [ id ] -> (
-        match int_of_string_opt id with
-        | Some id -> `Win id
-        | None -> err Vfs.Enonexist)
-    | [ id; file ] -> (
-        match int_of_string_opt id with
-        | Some id -> (
-            match file with
-            | "tag" -> `Tag id
-            | "body" -> `Body id
-            | "bodyapp" -> `Bodyapp id
-            | "ctl" -> `Ctl id
-            | _ -> err Vfs.Enonexist)
-        | None -> err Vfs.Enonexist)
+  let index = Text (fun () -> index_text help) in
+  (* the observability ledger through the paper's own interface: the
+     registry one metric per line, its Prometheus-style exposition
+     with per-window quantiles, and the threshold table *)
+  let stats = Text Trace.stats_text in
+  let metrics = Text Trace.metrics_text in
+  let alerts = Text Trace.alerts_text in
+  (* reading trace drains the span ring; trace/last renders the same
+     without the drain, so any number of observers may peek *)
+  let trace = Moving (fun () -> spans (Trace.drain ())) in
+  let trace_last = Moving (fun () -> spans (Trace.peek ())) in
+  (* the manual's index: one name/section/title line per page *)
+  let guide = Text Guide.index_text in
+  let new_dir = Dir (1, fun () -> [ "ctl" ]) in
+  (* "To create a new window, a process just opens /mnt/help/new/ctl
+     ... and may then read from that file the name of the window
+     created."  The window exists as soon as the file is open. *)
+  let new_ctl =
+    Moving (fun () -> string_of_int (Hwin.id (Help.new_window help ())) ^ "\n")
+  in
+  let ix_stats = Text (fun () -> Index.stats_text (Index.of_ns ns)) in
+  (* the posting table moves under queries *)
+  let ix_postings = Moving (fun () -> Index.postings_text (Index.of_ns ns)) in
+  let ix_rebuild = Trigger (fun _ -> Index.rebuild (Index.of_ns ns)) in
+  let wal_dir = Dir (2, fun () -> [ "stats"; "checkpoint" ]) in
+  (* index, trace and guide are files with children reached only by a
+     direct walk: they are not listed *)
+  let node = function
+    | [] -> root
+    | [ "index" ] -> index
+    | [ "index"; "stats" ] -> ix_stats
+    | [ "index"; "postings" ] -> ix_postings
+    | [ "index"; "rebuild" ] -> ix_rebuild
+    | [ "stats" ] -> stats
+    | [ "metrics" ] -> metrics
+    | [ "alerts" ] -> alerts
+    | [ "trace" ] -> trace
+    | [ "trace"; "last" ] -> trace_last
+    | [ "trace"; r ] ->
+        let r = found (int_of_string_opt r) in
+        Request (r, found (Trace.request_text r))
+    | [ "guide" ] -> guide
+    | [ "guide"; pg ] ->
+        let p = found (Guide.find pg) in
+        Text (fun () -> Guide.page_text p)
+    | [ "new" ] -> new_dir
+    | [ "new"; "ctl" ] -> new_ctl
+    | [ "wal" ] ->
+        ignore (the_wal ());
+        wal_dir
+    (* the durability ledger, and any write snapshots now *)
+    | [ "wal"; "stats" ] ->
+        let a = the_wal () in
+        Text (fun () -> Wal.stats_text a)
+    | [ "wal"; "checkpoint" ] ->
+        let a = the_wal () in
+        Trigger (fun _ -> Wal.force_checkpoint a)
+    | [ id ] -> Win (win id)
+    | [ id; "tag" ] -> Tag (win id)
+    | [ id; "body" ] -> Body (win id)
+    | [ id; "bodyapp" ] -> Trigger (Help.append_body help (win id))
+    | [ id; "ctl" ] -> Ctl (win id)
     | _ -> err Vfs.Enonexist
   in
   let fs_stat path =
-    match parse_path path with
-    | `Root -> stat_of ~name:"/" ~dir:true ~length:0 (now ())
-    | `Index ->
-        stat_of ~name:"index" ~dir:false
-          ~length:(String.length (index_text help))
-          (now ())
-    | `Ixstats ->
-        stat_of ~name:"stats" ~dir:false
-          ~length:(String.length (Index.stats_text (Index.of_ns ns)))
-          (now ())
-    | `Ixpostings ->
-        (* sized at open: the posting table moves under queries *)
-        stat_of ~name:"postings" ~dir:false ~length:0 (now ())
-    | `Ixrebuild -> stat_of ~name:"rebuild" ~dir:false ~length:0 (now ())
-    | `Stats ->
-        stat_of ~name:"stats" ~dir:false
-          ~length:(String.length (Trace.stats_text ()))
-          (now ())
-    | `Metrics ->
-        stat_of ~name:"metrics" ~dir:false
-          ~length:(String.length (Trace.metrics_text ()))
-          (now ())
-    | `Alerts ->
-        stat_of ~name:"alerts" ~dir:false
-          ~length:(String.length (Trace.alerts_text ()))
-          (now ())
-    | `Trace ->
-        (* length unknown until the ring is drained at open *)
-        stat_of ~name:"trace" ~dir:false ~length:0 (now ())
-    | `TraceLast ->
-        (* the ring keeps moving between stat and open; like trace,
-           length is only known at open *)
-        stat_of ~name:"last" ~dir:false ~length:0 (now ())
-    | `TraceReq r -> (
-        match Trace.request_text r with
-        | Some _ -> stat_of ~name:(string_of_int r) ~dir:false ~length:0 (now ())
-        | None -> err Vfs.Enonexist)
-    | `Guide ->
-        stat_of ~name:"guide" ~dir:false
-          ~length:(String.length (Guide.index_text ()))
-          (now ())
-    | `GuidePage pg -> (
-        match Guide.find pg with
-        | Some p ->
-            stat_of ~name:pg ~dir:false
-              ~length:(String.length (Guide.page_text p))
-              (now ())
-        | None -> err Vfs.Enonexist)
-    | `WalDir ->
-        let _ = the_wal () in
-        stat_of ~name:"wal" ~dir:true ~length:2 (now ())
-    | `Wstats ->
-        stat_of ~name:"stats" ~dir:false
-          ~length:(String.length (Wal.stats_text (the_wal ())))
-          (now ())
-    | `Wcheckpoint ->
-        let _ = the_wal () in
-        stat_of ~name:"checkpoint" ~dir:false ~length:0 (now ())
-    | `New -> stat_of ~name:"new" ~dir:true ~length:1 (now ())
-    | `Newctl -> stat_of ~name:"ctl" ~dir:false ~length:0 (now ())
-    | `Win id ->
-        let _ = win id in
-        stat_of ~name:(string_of_int id) ~dir:true ~length:4 (now ())
-    | `Tag id ->
-        stat_of ~name:"tag" ~dir:false
-          ~length:(String.length (Hwin.tag_text (win id)))
-          (now ())
-    | `Body id ->
-        stat_of ~name:"body" ~dir:false
-          ~length:(String.length (body_text (win id)))
-          (now ())
-    | `Bodyapp id ->
-        let _ = win id in
-        stat_of ~name:"bodyapp" ~dir:false ~length:0 (now ())
-    | `Ctl id ->
-        let _ = win id in
-        stat_of ~name:"ctl" ~dir:false ~length:0 (now ())
+    let n = node path in
+    let st_length =
+      match n with
+      | Dir (len, _) -> len
+      | Win _ -> List.length win_files
+      | Text render -> String.length (render ())
+      | Tag w -> Htext.length (Hwin.tag w)
+      | Body w -> Htext.length (Hwin.body w)
+      | Moving _ | Request _ | Trigger _ | Ctl _ -> 0
+    in
+    {
+      (* numerals are named canonically: a walk to 06 reaches window 6 *)
+      Vfs.st_name =
+        (match n with
+        | Win w -> string_of_int (Hwin.id w)
+        | Request (r, _) -> string_of_int r
+        | _ -> last path);
+      st_dir = (match n with Dir _ | Win _ -> true | _ -> false);
+      st_length;
+      st_mtime = Vfs.now ns;
+      st_version = 0;
+    }
   in
   let fs_readdir path =
-    match parse_path path with
-    | `Root ->
-        stat_of ~name:"index" ~dir:false
-          ~length:(String.length (index_text help))
-          (now ())
-        :: stat_of ~name:"stats" ~dir:false
-             ~length:(String.length (Trace.stats_text ()))
-             (now ())
-        :: stat_of ~name:"metrics" ~dir:false
-             ~length:(String.length (Trace.metrics_text ()))
-             (now ())
-        :: stat_of ~name:"alerts" ~dir:false
-             ~length:(String.length (Trace.alerts_text ()))
-             (now ())
-        :: stat_of ~name:"trace" ~dir:false ~length:0 (now ())
-        :: stat_of ~name:"guide" ~dir:false
-             ~length:(String.length (Guide.index_text ()))
-             (now ())
-        :: stat_of ~name:"new" ~dir:true ~length:1 (now ())
-        :: ((match wal () with
-            | Some _ -> [ stat_of ~name:"wal" ~dir:true ~length:2 (now ()) ]
-            | None -> [])
-           @ List.map
-               (fun w ->
-                 stat_of ~name:(string_of_int (Hwin.id w)) ~dir:true ~length:4
-                   (now ()))
-               (Help.windows help))
-    | `WalDir ->
-        let a = the_wal () in
-        [
-          stat_of ~name:"stats" ~dir:false
-            ~length:(String.length (Wal.stats_text a))
-            (now ());
-          stat_of ~name:"checkpoint" ~dir:false ~length:0 (now ());
-        ]
-    | `New -> [ stat_of ~name:"ctl" ~dir:false ~length:0 (now ()) ]
-    | `Win id ->
-        let _ = win id in
-        List.map
-          (fun n -> stat_of ~name:n ~dir:false ~length:0 (now ()))
-          [ "tag"; "body"; "bodyapp"; "ctl" ]
-    | `Index | `Ixstats | `Ixpostings | `Ixrebuild | `Stats | `Metrics
-    | `Alerts | `Trace | `TraceLast | `TraceReq _ | `Guide | `GuidePage _
-    | `Wstats | `Wcheckpoint | `Newctl | `Tag _ | `Body _ | `Bodyapp _
-    | `Ctl _ ->
-        err Vfs.Enotdir
+    let names =
+      match node path with
+      | Dir (_, names) -> names ()
+      | Win _ -> win_files
+      | _ -> err Vfs.Enotdir
+    in
+    List.map (fun name -> fs_stat (path @ [ name ])) names
   in
-  (* Fixed string semantics don't fit tag/body/ctl writes, which must
-     act on the live window; each open file carries its own behaviour. *)
-  let tag_file id ~trunc =
-    let w = win id in
-    if trunc then Hwin.set_tag w "";
-    {
-      Vfs.of_read =
-        (fun ~off ~count ->
-          let data = Hwin.tag_text w in
-          let len = String.length data in
-          if off >= len then ""
-          else String.sub data off (min count (len - off)));
-      of_write =
-        (fun ~off data ->
-          (* writes build up the tag at the given offset *)
-          let cur = Hwin.tag_text w in
-          let len = String.length cur in
-          let b = Bytes.make (max len (off + String.length data)) ' ' in
-          Bytes.blit_string cur 0 b 0 len;
-          Bytes.blit_string data 0 b off (String.length data);
-          Hwin.set_tag w (Bytes.to_string b);
-          String.length data);
-      of_close = (fun () -> ());
-    }
-  in
-  let body_file id ~trunc =
-    let w = win id in
-    if trunc then Help.set_body help w "";
-    {
-      Vfs.of_read =
-        (fun ~off ~count ->
-          let data = body_text w in
-          let len = String.length data in
-          if off >= len then ""
-          else String.sub data off (min count (len - off)));
-      of_write =
-        (fun ~off data ->
-          let buf = Htext.buffer (Hwin.body w) in
-          let was_dirty = Buffer0.dirty buf in
-          let len = Buffer0.length buf in
-          if off >= len then Buffer0.insert buf len data
-          else begin
-            let stop = min len (off + String.length data) in
-            Buffer0.replace buf off stop data
-          end;
-          Buffer0.commit buf;
-          (* program-written content is not an unsaved user edit *)
-          if not was_dirty then Buffer0.clean buf;
-          String.length data);
-      of_close = (fun () -> ());
-    }
-  in
-  let bodyapp_file id =
-    let w = win id in
-    {
-      Vfs.of_read = (fun ~off:_ ~count:_ -> "");
-      of_write =
-        (fun ~off:_ data ->
-          Help.append_body help w data;
-          String.length data);
-      of_close = (fun () -> ());
-    }
-  in
-  let ctl_file id =
-    let w = win id in
-    (* writes accumulate; complete lines are executed as they arrive *)
+  (* writes accumulate; complete lines are executed as they arrive, and
+     a failing line leaves the pending text in place *)
+  let ctl_file w =
     let pending = Buffer.create 64 in
+    let run line =
+      match Help.ctl_command help w line with
+      | Ok () -> ()
+      | Error msg -> err (Vfs.Eio msg)
+    in
     let run_lines final =
       let data = Buffer.contents pending in
       let rec go start =
         match String.index_from_opt data start '\n' with
         | Some i ->
-            let line = String.sub data start (i - start) in
-            (match Help.ctl_command help w line with
-            | Ok () -> ()
-            | Error msg -> err (Vfs.Eio msg));
+            run (String.sub data start (i - start));
             go (i + 1)
         | None ->
-            if final && start < String.length data then begin
-              (match
-                 Help.ctl_command help w
-                   (String.sub data start (String.length data - start))
-               with
-              | Ok () -> ()
-              | Error msg -> err (Vfs.Eio msg));
-              Buffer.clear pending
-            end
-            else begin
-              let rest = String.sub data start (String.length data - start) in
-              Buffer.clear pending;
-              Buffer.add_string pending rest
-            end
+            let rest = String.sub data start (String.length data - start) in
+            if final && rest <> "" then run rest;
+            Buffer.clear pending;
+            if not final then Buffer.add_string pending rest
       in
       go 0
     in
-    {
-      Vfs.of_read =
-        (fun ~off ~count ->
-          let q0, q1 = Htext.sel (Hwin.body w) in
-          let data =
-            Printf.sprintf "%d %d %d %d %d\n" id
-              (Htext.length (Hwin.body w))
-              (if Hwin.dirty w then 1 else 0)
-              q0 q1
-          in
-          let len = String.length data in
-          if off >= len then ""
-          else String.sub data off (min count (len - off)));
-      of_write =
-        (fun ~off:_ data ->
-          Buffer.add_string pending data;
-          run_lines false;
-          String.length data);
-      of_close = (fun () -> run_lines true);
-    }
-  in
-  let newctl_file () =
-    (* "To create a new window, a process just opens /mnt/help/new/ctl
-       ... and may then read from that file the name of the window
-       created."  The window exists as soon as the file is open. *)
-    let w = Help.new_window help () in
-    let data = string_of_int (Hwin.id w) ^ "\n" in
-    {
-      Vfs.of_read =
-        (fun ~off ~count ->
-          let len = String.length data in
-          if off >= len then ""
-          else String.sub data off (min count (len - off)));
-      of_write = (fun ~off:_ _ -> err Vfs.Eperm);
-      of_close = (fun () -> ());
-    }
-  in
-  let rebuild_file () =
-    {
-      Vfs.of_read = (fun ~off:_ ~count:_ -> "");
-      of_write =
-        (fun ~off:_ data ->
-          (* any write rebuilds; content is ignored *)
-          Index.rebuild (Index.of_ns ns);
-          String.length data);
-      of_close = (fun () -> ());
-    }
-  in
-  let wal_checkpoint_file a =
-    {
-      Vfs.of_read = (fun ~off:_ ~count:_ -> "");
-      of_write =
-        (fun ~off:_ data ->
-          (* any write snapshots now; content is ignored *)
-          Wal.force_checkpoint a;
-          String.length data);
-      of_close = (fun () -> ());
-    }
+    openfile
+      (fun ~off ~count -> slice (status w) ~off ~count)
+      ~write:(fun ~off:_ data ->
+        Buffer.add_string pending data;
+        run_lines false;
+        String.length data)
+      ~close:(fun () -> run_lines true)
   in
   let fs_open path _mode ~trunc =
-    match parse_path path with
-    | `Index -> string_file (index_text help)
-    | `Ixstats -> string_file (Index.stats_text (Index.of_ns ns))
-    | `Ixpostings -> string_file (Index.postings_text (Index.of_ns ns))
-    | `Ixrebuild -> rebuild_file ()
-    | `Stats ->
-        (* the registry snapshot, one metric per line: the whole
-           observability ledger through the paper's own interface *)
-        string_file (Trace.stats_text ())
-    | `Metrics ->
-        (* Prometheus-style exposition of the same ledger, with
-           per-window quantiles — scrape by cat *)
-        string_file (Trace.metrics_text ())
-    | `Alerts ->
-        (* threshold table, evaluated at open *)
-        string_file (Trace.alerts_text ())
-    | `Trace ->
-        (* reading drains the span ring; the snapshot taken at open is
-           what this open file serves *)
-        let spans, dropped = Trace.drain () in
-        string_file (Trace.spans_text ~dropped spans)
-    | `TraceLast ->
-        (* same rendering, but a peek: the ring is left intact, so any
-           number of observers can read without racing the drain *)
-        let spans, dropped = Trace.peek () in
-        string_file (Trace.spans_text ~dropped spans)
-    | `TraceReq r -> (
-        match Trace.request_text r with
-        | Some text -> string_file text
-        | None -> err Vfs.Enonexist)
-    | `Guide ->
-        (* the manual's index — the same model guide(1) renders as
-           windows, one name/section/title line per page *)
-        string_file (Guide.index_text ())
-    | `GuidePage pg -> (
-        match Guide.find pg with
-        | Some p -> string_file (Guide.page_text p)
-        | None -> err Vfs.Enonexist)
-    | `Wstats ->
-        (* the durability ledger: log and snapshot totals, chunk
-           sharing, last-recovery statistics *)
-        string_file (Wal.stats_text (the_wal ()))
-    | `Wcheckpoint -> wal_checkpoint_file (the_wal ())
-    | `Newctl -> newctl_file ()
-    | `Tag id -> tag_file id ~trunc
-    | `Body id -> body_file id ~trunc
-    | `Bodyapp id -> bodyapp_file id
-    | `Ctl id -> ctl_file id
-    | `Root | `New | `Win _ | `WalDir -> err Vfs.Eisdir
+    match node path with
+    | Dir _ | Win _ -> err Vfs.Eisdir
+    | Text render | Moving render -> string_file (render ())
+    | Request (_, text) -> string_file text
+    | Trigger act ->
+        openfile
+          (fun ~off:_ ~count:_ -> "")
+          ~write:(fun ~off:_ data ->
+            act data;
+            String.length data)
+    | Tag w ->
+        if trunc then Hwin.set_tag w "";
+        text_file (Hwin.tag w) ~write:(fun ~off data ->
+            (* writes build up the tag at the given offset *)
+            let cur = Hwin.tag_text w in
+            let len = String.length cur in
+            let b = Bytes.make (max len (off + String.length data)) ' ' in
+            Bytes.blit_string cur 0 b 0 len;
+            Bytes.blit_string data 0 b off (String.length data);
+            Hwin.set_tag w (Bytes.to_string b);
+            String.length data)
+    | Body w ->
+        if trunc then Help.set_body help w "";
+        text_file (Hwin.body w) ~write:(fun ~off data ->
+            let buf = Htext.buffer (Hwin.body w) in
+            let was_dirty = Buffer0.dirty buf in
+            let len = Buffer0.length buf in
+            if off >= len then Buffer0.insert buf len data
+            else Buffer0.replace buf off (min len (off + String.length data)) data;
+            Buffer0.commit buf;
+            (* program-written content is not an unsaved user edit *)
+            if not was_dirty then Buffer0.clean buf;
+            String.length data)
+    | Ctl w -> ctl_file w
   in
   let fs_create _path ~dir:_ = err Vfs.Eperm in
   let fs_remove path =
-    match parse_path path with
-    | `Win id ->
-        Help.close_window help (win id)
+    match node path with
+    | Win w -> Help.close_window help w
     | _ -> err Vfs.Eperm
   in
   { Vfs.fs_stat; fs_open; fs_create; fs_remove; fs_readdir }

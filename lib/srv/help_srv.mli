@@ -34,8 +34,14 @@
     /mnt/help/N/bodyapp    writes append to the body
     /mnt/help/N/ctl        control commands, one per line (see
                            {!Help.ctl_command}); reading gives
-                           "N length dirty"
+                           "N length dirty q0 q1"
     v}
+
+    A stat, and so each entry of a directory read, gives a file's
+    length as a read at that moment would return it; files whose text
+    moves ([trace], its children, [index/postings], [new/ctl],
+    [N/ctl]) and the write-only ones report 0.  Window directory
+    names are canonical: a walk to [06] reaches window [6], named so.
 
     The tree is served over the {!Nine} protocol and mounted into the
     session namespace, so a shell script's [cat /mnt/help/7/body] does

@@ -13,7 +13,6 @@ let logical_clock () =
 
 let clock = ref logical_clock
 let set_clock f = clock := f
-let use_logical_clock () = clock := logical_clock
 
 (* Every clock reading feeds the rolling-window machinery below; the
    hook is installed once the window state exists (end of this file). *)
@@ -237,7 +236,6 @@ let request_id () =
   !next_req
 
 let cur_req = ref 0
-let current_request () = !cur_req
 let sample_seed = ref 0
 let sample_rate = ref 1
 

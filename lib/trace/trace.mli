@@ -22,9 +22,6 @@
 (** Replace the clock with [f], a monotonic microsecond counter. *)
 val set_clock : (unit -> int) -> unit
 
-(** Restore the default deterministic logical clock (1 us per reading). *)
-val use_logical_clock : unit -> unit
-
 (** Read the clock (advances the logical clock by one tick).  Every
     reading also drives the rolling-window machinery: crossing a window
     boundary snapshots the registry (see {!window_series}). *)
@@ -139,10 +136,6 @@ val sampling : unit -> int * int
     — the whole nested tree — with [reqid] (see {!request_text}). *)
 val with_request :
   reqid:int -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
-
-(** The request id spans are currently being tagged with (0 outside any
-    {!with_request}). *)
-val current_request : unit -> int
 
 (** {1 Spans} *)
 

@@ -157,7 +157,6 @@ let create_store () =
 
 let log_pos s = Buffer.length s.log
 let chunk_count s = Hashtbl.length s.chunks
-let chunk_bytes s = s.c_bytes
 
 let chunk_get s key =
   match Hashtbl.find_opt s.chunks key with
@@ -379,8 +378,6 @@ let journal_entry t (clock, conn, kind) =
     t.st.jseq <- t.st.jseq + 1;
     t.st.jentries <- (t.st.jseq, clock, conn, kind) :: t.st.jentries
   end
-
-let journal_length s = List.length s.jentries
 
 let verify_journal s =
   let rec check expect prev_clock = function

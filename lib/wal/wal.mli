@@ -74,8 +74,6 @@ val log_pos : store -> int
 
 val chunk_count : store -> int
 
-val chunk_bytes : store -> int
-
 val chunk_get : store -> string -> string
 (** Fetch a chunk by digest key.  @raise Corrupt on an unknown key. *)
 
@@ -192,8 +190,6 @@ val journal_entry : t -> int * int * string -> unit
     [(clock, conn, kind)] dispatch record under the next sequence
     number.  In replay mode only the [wal.journal.entries] counter
     advances. *)
-
-val journal_length : store -> int
 
 val verify_journal : store -> unit
 (** Check sequence contiguity and clock monotonicity.

@@ -134,6 +134,34 @@ let e2e_tests =
           (match Vfs.read_file ns "/mnt/nine/missing" with
           | exception Vfs.Error Vfs.Enonexist -> true
           | _ -> false));
+    Alcotest.test_case "a directory read of a file is refused" `Quick
+      (fun () ->
+        (* the file's bytes must not be decoded as stat entries: a
+           non-empty file would fail to parse, an empty one would list
+           as an empty directory *)
+        let ns = Vfs.create () in
+        let pool = Nine.serve_mount ns "/mnt/nine" (Vfs.ramfs ns) in
+        Vfs.write_file ns "/mnt/nine/full" "not a directory";
+        Vfs.write_file ns "/mnt/nine/empty" "";
+        let fs =
+          Nine.Client.filesystem
+            (Nine.Client.connect
+               (Nine.Pool.transport (Nine.Pool.attach pool)))
+        in
+        List.iter
+          (fun name ->
+            check_bool (name ^ ": Enotdir") true
+              (match fs.Vfs.fs_readdir [ name ] with
+              | exception Vfs.Error Vfs.Enotdir -> true
+              | _ | (exception _) -> false);
+            check_bool (name ^ ": a Vfs.Error through the mount") true
+              (match Vfs.readdir ns ("/mnt/nine/" ^ name) with
+              | exception Vfs.Error _ -> true
+              | _ | (exception _) -> false))
+          [ "full"; "empty" ];
+        Alcotest.(check (list string))
+          "the root still lists" [ "full"; "empty" ]
+          (List.map (fun (st : Vfs.stat) -> st.st_name) (fs.Vfs.fs_readdir [])));
     Alcotest.test_case "large file crosses iounit chunking" `Quick (fun () ->
         let ns = Vfs.create () in
         ignore (Nine.serve_mount ns "/mnt/nine" (Vfs.ramfs ns));

@@ -194,4 +194,168 @@ let tests =
         check_bool "two lines" true (contains (String.trim out) "2"));
   ]
 
-let () = Alcotest.run "srv" [ ("mnt-help", tests) ]
+(* The /mnt/help contract, name by name.  Every listed name and every
+   name reached only by a direct walk is stat'ed through the 9P mount
+   and read back; directory reads must equal the stats of the children
+   they list; bad names and writes must fail with the right error. *)
+type want =
+  | Dir of int  (* a directory with this stat length *)
+  | Text  (* stat length = the bytes an immediate open reads *)
+  | Live  (* a rendering of the very traffic that reads it: nonzero *)
+  | Zero  (* stat length 0: moving, or write-only *)
+
+let contract_tests =
+  let setup () =
+    let ns = Vfs.create () in
+    let sh = Rc.create ns in
+    let help = Help.create ~w:80 ~h:24 ns sh in
+    let wal = Wal.attach ~recording:false (Wal.create_store ()) in
+    let srv = Help_srv.mount ~wal:(fun () -> Some wal) help in
+    let w =
+      Help.new_window help ~name:"/some/file" ~body:"alpha\nbeta\n" ()
+    in
+    (ns, help, srv, string_of_int (Hwin.id w))
+  in
+  let stat_key (st : Vfs.stat) = (st.st_name, st.st_dir, st.st_length) in
+  let error_name = function
+    | Vfs.Eio m -> "Eio " ^ m
+    | e -> Vfs.error_message e
+  in
+  let fails what want f =
+    match f () with
+    | exception Vfs.Error e -> check_str what (error_name want) (error_name e)
+    | _ -> Alcotest.fail (what ^ ": succeeded")
+  in
+  [
+    Alcotest.test_case "every name: stat, read and directory read" `Quick
+      (fun () ->
+        let ns, _, srv, n = setup () in
+        (* a client that keeps the server's listing order *)
+        let client =
+          Nine.Client.filesystem
+            (Nine.Client.connect (Nine.Pool.transport (Nine.Pool.attach srv)))
+        in
+        Vfs.write_file ns ("/mnt/help/" ^ n ^ "/ctl") "select 1 3\n";
+        let rid =
+          match List.rev (Trace.requests ()) with
+          | r :: _ -> string_of_int r
+          | [] -> Alcotest.fail "no sampled request"
+        in
+        let table =
+          [
+            ("", Dir 0);
+            ("index", Text);
+            ("index/stats", Text);
+            ("index/postings", Zero);
+            ("index/rebuild", Zero);
+            ("stats", Live);
+            ("metrics", Live);
+            ("alerts", Live);
+            ("trace/" ^ rid, Zero);
+            ("trace/last", Zero);
+            ("trace", Zero);
+            ("guide", Text);
+            ("guide/help", Text);
+            ("new", Dir 1);
+            ("wal", Dir 2);
+            ("wal/stats", Text);
+            ("wal/checkpoint", Zero);
+            (n, Dir 4);
+            (n ^ "/tag", Text);
+            (n ^ "/body", Text);
+            (n ^ "/bodyapp", Zero);
+            (n ^ "/ctl", Zero);
+            ("new/ctl", Zero);
+          ]
+        in
+        let wanted = Hashtbl.create 32 in
+        List.iter
+          (fun (name, want) ->
+            Hashtbl.replace wanted name want;
+            let path = "/mnt/help/" ^ name in
+            let st = Vfs.stat ns path in
+            (match want with
+            | Dir len ->
+                check_bool (name ^ " is a directory") true st.st_dir;
+                check_int (name ^ " length") len st.st_length
+            | Text ->
+                check_bool (name ^ " is a file") false st.st_dir;
+                check_int (name ^ " length = bytes read")
+                  (String.length (Vfs.read_file ns path))
+                  st.st_length
+            | Live ->
+                check_bool (name ^ " is a file") false st.st_dir;
+                check_bool (name ^ " has a length") true (st.st_length > 0);
+                check_bool (name ^ " reads") true (Vfs.read_file ns path <> "")
+            | Zero ->
+                check_bool (name ^ " is a file") false st.st_dir;
+                check_int (name ^ " length") 0 st.st_length;
+                ignore (Vfs.read_file ns path)))
+          table;
+        (* directory reads, in the server's order, against the stats of
+           the children they list *)
+        List.iter
+          (fun dir ->
+            let path = if dir = "" then [] else [ dir ] in
+            let listed = client.Vfs.fs_readdir path in
+            List.iter
+              (fun (st : Vfs.stat) ->
+                let child = String.concat "/" (path @ [ st.st_name ]) in
+                (* new/ctl made the only window the table does not name *)
+                check_bool (child ^ " is in the table") true
+                  (Hashtbl.mem wanted child
+                  || int_of_string_opt child <> None);
+                let own = client.Vfs.fs_stat (path @ [ st.st_name ]) in
+                match Hashtbl.find_opt wanted child with
+                | Some Live ->
+                    check_bool (child ^ " listed like its stat") true
+                      (st.st_name = own.st_name && st.st_dir = own.st_dir
+                     && st.st_length > 0)
+                | _ ->
+                    Alcotest.(check (triple string bool int))
+                      (child ^ " listed as its stat") (stat_key own)
+                      (stat_key st))
+              listed;
+            if dir <> "" then
+              check_int (dir ^ " length = entries listed")
+                (Vfs.stat ns ("/mnt/help/" ^ dir)).st_length
+                (List.length listed))
+          [ ""; "new"; "wal"; n ]);
+    Alcotest.test_case "bad names and writes fail with the right error"
+      `Quick (fun () ->
+        let ns, help, _, n = setup () in
+        let raw = Help_srv.filesystem help in
+        List.iter
+          (fun name ->
+            fails ("stat " ^ name) Vfs.Enonexist (fun () ->
+                Vfs.stat ns ("/mnt/help/" ^ name)))
+          [ "nosuch"; "999"; "999/body"; n ^ "/nosuch"; n ^ "/tag/x";
+            "index/nosuch"; "trace/abc"; "trace/99999"; "guide/nosuch";
+            "new/x"; "wal/x"; "a/b/c" ];
+        List.iter
+          (fun name ->
+            fails ("write " ^ name) Vfs.Eperm (fun () ->
+                Vfs.write_file ns ("/mnt/help/" ^ name) "x"))
+          [ "index"; "stats"; "guide"; "trace/last"; "nosuch"; "new/ctl" ];
+        List.iter
+          (fun name ->
+            fails ("remove " ^ name) Vfs.Eperm (fun () ->
+                Vfs.remove ns ("/mnt/help/" ^ name)))
+          [ "index"; "new"; n ^ "/body" ];
+        fails "mkdir" Vfs.Eperm (fun () -> Vfs.mkdir ns "/mnt/help/d");
+        (* the server's own answers, beneath the protocol *)
+        List.iter
+          (fun path ->
+            fails ("open " ^ String.concat "/" path) Vfs.Eisdir (fun () ->
+                raw.Vfs.fs_open path Vfs.Read ~trunc:false))
+          [ []; [ "new" ]; [ n ] ];
+        List.iter
+          (fun path ->
+            fails ("readdir " ^ String.concat "/" path) Vfs.Enotdir (fun () ->
+                raw.Vfs.fs_readdir path))
+          [ [ "index" ]; [ "stats" ]; [ "trace" ]; [ "new"; "ctl" ];
+            [ n; "tag" ]; [ n; "ctl" ] ]);
+  ]
+
+let () =
+  Alcotest.run "srv" [ ("mnt-help", tests); ("contract", contract_tests) ]
