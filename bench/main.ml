@@ -1637,8 +1637,11 @@ let e14_index ~quick () =
 (* index-smoke: the indexed-search gate.  Inside a booted session,
    indexed and linear grep must return identical spans on a pattern
    battery over the real corpus — including one query issued mid-edit —
-   and the index's own files under /mnt/help/index must be well-formed.
-   Exits nonzero on any failure so check.sh can gate on it. *)
+   and so must the grep users run: the shell's grep over relative names
+   (candidates from Index.prune) printing exactly the linear scan's
+   lines.  The index's own files under /mnt/help/index must be
+   well-formed.  Exits nonzero on any failure so check.sh can gate on
+   it. *)
 
 let index_smoke () =
   let failed = ref [] in
@@ -1646,9 +1649,11 @@ let index_smoke () =
   let t = Session.boot () in
   let ns = t.Session.ns in
   let ix = Index.of_ns ns in
+  (* in the order the shell expands *.c dat.h fns.h *)
   let files =
-    List.map (fun f -> Corpus.src_dir ^ "/" ^ f) Corpus.c_files
-    @ [ Corpus.src_dir ^ "/dat.h"; Corpus.src_dir ^ "/fns.h" ]
+    List.map
+      (fun f -> Corpus.src_dir ^ "/" ^ f)
+      (List.sort compare Corpus.c_files @ [ "dat.h"; "fns.h" ])
   in
   let pats =
     [
@@ -1664,8 +1669,23 @@ let index_smoke () =
     Index.hits_text (Index.grep ix re files)
     = Index.hits_text (Index.grep_linear ix re files)
   in
+  let shell_agrees pat =
+    let r =
+      Rc.run t.Session.sh ~cwd:Corpus.src_dir
+        (Printf.sprintf "grep -n '%s' *.c dat.h fns.h" pat)
+    in
+    r.Rc.r_out
+    = String.concat ""
+        (List.map
+           (fun h ->
+             Printf.sprintf "%s:%d:%s\n" (Vfs.basename h.Index.h_doc)
+               h.Index.h_line h.Index.h_text)
+           (Index.grep_linear ix (Regexp.compile_uncached pat) files))
+  in
   List.iter
-    (fun pat -> check (Printf.sprintf "indexed = linear on /%s/" pat) (agree pat))
+    (fun pat ->
+      check (Printf.sprintf "indexed = linear on /%s/" pat) (agree pat);
+      check (Printf.sprintf "shell grep = linear on /%s/" pat) (shell_agrees pat))
     pats;
   (* the mid-edit query: mutate a corpus file between queries and ask
      again without any explicit rebuild *)
@@ -1673,6 +1693,8 @@ let index_smoke () =
   let original = Vfs.read_file ns victim in
   Vfs.write_file ns victim (original ^ "int smoke_needle_zz;\n");
   check "mid-edit: indexed = linear on the fresh needle" (agree "smoke_needle_zz");
+  check "mid-edit: shell grep = linear on the fresh needle"
+    (shell_agrees "smoke_needle_zz");
   check "mid-edit: indexed grep finds the needle"
     (Index.grep ix (Regexp.compile_uncached "smoke_needle_zz") files <> []);
   Vfs.write_file ns victim original;
@@ -1717,8 +1739,8 @@ let index_smoke () =
   match List.rev !failed with
   | [] ->
       Printf.printf
-        "index-smoke: ok (%d patterns indexed = linear, mid-edit agreed, \
-         stats well-formed, rebuild accepted)\n"
+        "index-smoke: ok (%d patterns indexed = shell grep = linear, \
+         mid-edit agreed, stats well-formed, rebuild accepted)\n"
         (List.length pats);
       exit 0
   | fs ->

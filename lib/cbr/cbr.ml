@@ -217,20 +217,7 @@ let select_units ?search ~cwd files needle =
   | None -> files
   | Some ix ->
       let q = Index.plan_literal needle in
-      if not (Index.query_useful q) then files
-      else begin
-        let abs f =
-          if starts_with "/" f then Vfs.normalize f
-          else Vfs.normalize (cwd ^ "/" ^ f)
-        in
-        let pairs = List.map (fun f -> (f, abs f)) files in
-        let keep = Index.prune ix q (List.map snd pairs) in
-        let mem = Hashtbl.create 64 in
-        List.iter (fun p -> Hashtbl.replace mem p ()) keep;
-        List.filter_map
-          (fun (f, a) -> if Hashtbl.mem mem a then Some f else None)
-          pairs
-      end
+      if Index.query_useful q then Index.prune ~cwd ix q files else files
 
 let grep_count ?search ns ~cwd files pattern =
   let files =

@@ -180,8 +180,9 @@ val report : t -> string -> unit
     a stable key for [chunk]. *)
 val snapshot : t -> put:(string -> string) -> string
 
-(** [restore t ~get s] replaces the UI state with [snapshot] output,
-    re-registering restored windows with the trigram index in their
-    original order and invalidating the render cache ([None] until the
-    next draw, which repaints in full). *)
+(** [restore t ~get s] replaces the UI state with [snapshot] output
+    and invalidates the render cache ([None] until the next draw, which
+    repaints in full).  A capture of another format version (this is
+    version 2) is refused with [Invalid_argument] before anything is
+    touched. *)
 val restore : t -> get:(string -> string) -> string -> unit

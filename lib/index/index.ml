@@ -1,4 +1,4 @@
-(* Trigram posting-list index over namespace files and open buffers.
+(* Trigram posting-list index over namespace files.
    Candidate selection runs before the Regexp DFA/NFA pipeline ever
    touches a document; pruning is sound because a document that lacks a
    required trigram of the pattern cannot contain a match. *)
@@ -108,33 +108,19 @@ let plan_ast ast =
 
 let plan_literal s = simplify (Q_and (tris_of_run s []))
 
-let plan_cache : (string, query) Hashtbl.t = Hashtbl.create 64
-
 let plan re =
-  let pat = Regexp.pattern re in
-  match Hashtbl.find_opt plan_cache pat with
-  | Some q -> q
-  | None ->
-      if Hashtbl.length plan_cache > 256 then Hashtbl.reset plan_cache;
-      let q =
-        match Regexp.parse pat with
-        | exception Regexp.Parse_error _ -> Q_all
-        | ast -> plan_ast ast
-      in
-      Hashtbl.add plan_cache pat q;
-      q
+  match Regexp.parse (Regexp.pattern re) with
+  | exception Regexp.Parse_error _ -> Q_all
+  | ast -> plan_ast ast
 
 (* ------------------------------------------------------------------ *)
 (* Documents and postings                                              *)
-
-type src = S_file of string | S_buf of Buffer0.t
 
 let stamp_none = (-1, -1, -1)
 
 type doc = {
   d_id : int;
-  d_key : string;
-  d_src : src;
+  d_key : string;  (* normalized path *)
   mutable d_ok : bool;  (* tokenized and current at last validation *)
   mutable d_seen : bool;  (* tokenized at least once (reindex meter) *)
   mutable d_stamp : int * int * int;
@@ -143,10 +129,10 @@ type doc = {
 
 type t = {
   ix_ns : Vfs.t;
-  ix_docs : (string, doc) Hashtbl.t;  (* canonical key -> doc *)
-  ix_alias : (string, doc) Hashtbl.t;  (* as-given path -> doc (hot lookup) *)
+  ix_docs : (string, doc) Hashtbl.t;  (* normalized path -> doc *)
+  ix_alias : (string, (string, doc) Hashtbl.t) Hashtbl.t;
+      (* directory -> name as given, relative to it -> doc *)
   ix_post : (int, int list ref) Hashtbl.t;  (* trigram -> sorted ids *)
-  mutable ix_bufs : doc list;  (* registration order *)
   mutable ix_next : int;
   mutable ix_nsgen : int;  (* Vfs.generation at last file sweep *)
   mutable ix_npost : int;
@@ -161,9 +147,8 @@ let create ns =
   {
     ix_ns = ns;
     ix_docs = Hashtbl.create 64;
-    ix_alias = Hashtbl.create 64;
+    ix_alias = Hashtbl.create 8;
     ix_post = Hashtbl.create 1024;
-    ix_bufs = [];
     ix_next = 0;
     ix_nsgen = -1;
     ix_npost = 0;
@@ -176,8 +161,8 @@ let create ns =
 
 (* One index per namespace, shared by grep, Cbr and /mnt/help/index.
    Keyed physically and weakly on the namespace: an index lives exactly
-   as long as its namespace, so a live session never loses the buffers
-   Help registered, and a dropped one is not kept reachable. *)
+   as long as its namespace, so a live session keeps its postings, and
+   a dropped one is not kept reachable. *)
 let registry : (Vfs.t, t) Ephemeron.K1.Bucket.t = Ephemeron.K1.Bucket.make ()
 
 let of_ns ns =
@@ -298,102 +283,64 @@ let revalidate_file t doc path =
         | exception Vfs.Error _ -> clear_doc t doc
         | content -> tokenize_doc t doc content stamp)
 
-let revalidate_buffer t doc b =
-  let gen = Buffer0.generation b in
-  match doc.d_stamp with
-  | g, _, _ when doc.d_ok && g = gen -> ()
-  | _ -> tokenize_doc t doc (Buffer0.to_string b) (gen, 0, 0)
-
-(* Lazy staleness: file documents are swept only when the namespace
+(* Lazy staleness: documents are swept only when the namespace
    mutation counter has moved since the last sweep (an unmoved counter
-   proves no file changed); buffer documents compare their Buffer0
-   generation with the one they were tokenized at.  Nothing is touched
-   on the keystroke itself. *)
+   proves no file changed).  Nothing is touched on the write itself. *)
 let validate t =
   let g = Vfs.generation t.ix_ns in
   if g <> t.ix_nsgen then begin
-    Hashtbl.iter
-      (fun _ doc ->
-        match doc.d_src with
-        | S_file path -> revalidate_file t doc path
-        | S_buf _ -> ())
-      t.ix_docs;
+    Hashtbl.iter (fun path doc -> revalidate_file t doc path) t.ix_docs;
     t.ix_nsgen <- Vfs.generation t.ix_ns
   end;
-  List.iter
-    (fun doc ->
-      match doc.d_src with
-      | S_buf b -> revalidate_buffer t doc b
-      | S_file _ -> ())
-    t.ix_bufs;
   Trace.set_gauge g_docs (Hashtbl.length t.ix_docs);
   Trace.set_gauge g_postings t.ix_npost
 
-let new_doc t key src =
-  let doc =
-    {
-      d_id = t.ix_next;
-      d_key = key;
-      d_src = src;
-      d_ok = false;
-      d_seen = false;
-      d_stamp = stamp_none;
-      d_tris = [||];
-    }
-  in
-  t.ix_next <- t.ix_next + 1;
-  Hashtbl.replace t.ix_docs key doc;
-  doc
-
-(* Paths arrive already absolute from every caller, so the hot path is
-   a single hash probe on the string as given; normalization runs only
-   the first time a spelling is seen, and the result is memoized in the
-   alias table. *)
-let doc_of_path t path = Hashtbl.find_opt t.ix_alias path
-
-let ensure_path t path =
-  match Hashtbl.find_opt t.ix_alias path with
-  | Some _ -> ()
+let doc_of_key t key =
+  match Hashtbl.find_opt t.ix_docs key with
+  | Some doc -> doc
   | None ->
-      let key = Vfs.normalize path in
       let doc =
-        match Hashtbl.find_opt t.ix_docs key with
-        | Some doc -> doc
-        | None ->
-            let doc = new_doc t key (S_file key) in
-            revalidate_file t doc key;
-            doc
+        {
+          d_id = t.ix_next;
+          d_key = key;
+          d_ok = false;
+          d_seen = false;
+          d_stamp = stamp_none;
+          d_tris = [||];
+        }
       in
-      Hashtbl.replace t.ix_alias path doc;
-      if path <> key then Hashtbl.replace t.ix_alias key doc
+      t.ix_next <- t.ix_next + 1;
+      Hashtbl.replace t.ix_docs key doc;
+      revalidate_file t doc key;
+      doc
 
-let buf_key name = "buf:" ^ name
+let aliases t dir =
+  match Hashtbl.find_opt t.ix_alias dir with
+  | Some tbl -> tbl
+  | None ->
+      let tbl = Hashtbl.create 64 in
+      Hashtbl.add t.ix_alias dir tbl;
+      tbl
 
-let add_buffer t ~name b =
-  if not (List.exists (fun d -> match d.d_src with S_buf b' -> b' == b | _ -> false) t.ix_bufs)
-  then begin
-    let rec fresh key n =
-      if Hashtbl.mem t.ix_docs key then fresh (Printf.sprintf "%s#%d" key n) (n + 1)
-      else key
-    in
-    let key = fresh (buf_key name) 2 in
-    let doc = new_doc t key (S_buf b) in
-    t.ix_bufs <- t.ix_bufs @ [ doc ]
-  end
-
-let remove_buffer t b =
-  let gone, kept =
-    List.partition
-      (fun d -> match d.d_src with S_buf b' -> b' == b | _ -> false)
-      t.ix_bufs
-  in
-  t.ix_bufs <- kept;
-  List.iter
-    (fun doc ->
-      apply_tris t doc [||];
-      Hashtbl.remove t.ix_docs doc.d_key;
-      Hashtbl.remove t.ix_alias doc.d_key)
-    gone
+(* A name resolves the way the shell resolves it: absolute as given,
+   otherwise against [cwd].  The hot path is one hash probe on the name
+   as written; normalization runs only the first time a spelling is
+   seen in a directory, and its result is kept in the alias table.
+   Absolute names share the root's table, where they mean the same. *)
+let resolver t cwd =
+  let root = aliases t "/" in
+  let here = if cwd = "/" then root else aliases t cwd in
+  fun name ->
+    let abs = String.length name > 0 && name.[0] = '/' in
+    let tbl = if abs then root else here in
+    match Hashtbl.find_opt tbl name with
+    | Some doc -> doc
+    | None ->
+        let doc =
+          doc_of_key t (Vfs.normalize (if abs then name else cwd ^ "/" ^ name))
+        in
+        Hashtbl.add tbl name doc;
+        doc
 
 let rebuild t =
   Hashtbl.iter
@@ -469,28 +416,29 @@ let account t ~kept ~total =
   Trace.incr ~by:kept c_candidates;
   Trace.incr ~by:(total - kept) c_skipped
 
-let prune t q paths =
+let prune ?(cwd = "/") t q names =
   Trace.with_span "index.query" (fun () ->
       t.ix_queries <- t.ix_queries + 1;
       validate t;
-      List.iter (ensure_path t) paths;
+      let docs = List.map (resolver t cwd) names in
       match eval t q with
       | C_all ->
           t.ix_fallbacks <- t.ix_fallbacks + 1;
           Trace.incr c_fallbacks;
-          paths
+          names
       | C_ids ids ->
           let mem = Hashtbl.create (List.length ids) in
           List.iter (fun id -> Hashtbl.replace mem id ()) ids;
           let keep =
-            List.filter
-              (fun p ->
-                match doc_of_path t p with
-                | Some doc when doc.d_ok -> Hashtbl.mem mem doc.d_id
-                | _ -> true (* unindexable: let the scan report it *))
-              paths
+            List.fold_left2
+              (fun acc name doc ->
+                (* unindexable: let the scan report it *)
+                if (not doc.d_ok) || Hashtbl.mem mem doc.d_id then name :: acc
+                else acc)
+              [] names docs
+            |> List.rev
           in
-          account t ~kept:(List.length keep) ~total:(List.length paths);
+          account t ~kept:(List.length keep) ~total:(List.length names);
           Trace.set_gauge g_docs (Hashtbl.length t.ix_docs);
           Trace.set_gauge g_postings t.ix_npost;
           keep)
@@ -517,9 +465,10 @@ let scan_files ns re paths =
   List.rev
     (List.fold_left
        (fun acc p ->
-         match Vfs.read_file ns (Vfs.normalize p) with
+         let key = Vfs.normalize p in
+         match Vfs.read_file ns key with
          | exception Vfs.Error _ -> acc
-         | content -> scan_content re (Vfs.normalize p) content acc)
+         | content -> scan_content re key content acc)
        [] paths)
 
 let grep t re files =
@@ -527,33 +476,6 @@ let grep t re files =
   scan_files t.ix_ns re keep
 
 let grep_linear t re files = scan_files t.ix_ns re files
-
-let scan_buffers re docs =
-  List.rev
-    (List.fold_left
-       (fun acc doc ->
-         match doc.d_src with
-         | S_buf b -> scan_content re doc.d_key (Buffer0.to_string b) acc
-         | S_file _ -> acc)
-       [] docs)
-
-let grep_buffers t re =
-  Trace.with_span "index.query" (fun () ->
-      t.ix_queries <- t.ix_queries + 1;
-      validate t;
-      match eval t (plan re) with
-      | C_all ->
-          t.ix_fallbacks <- t.ix_fallbacks + 1;
-          Trace.incr c_fallbacks;
-          scan_buffers re t.ix_bufs
-      | C_ids ids ->
-          let mem = Hashtbl.create (List.length ids) in
-          List.iter (fun id -> Hashtbl.replace mem id ()) ids;
-          let keep = List.filter (fun d -> Hashtbl.mem mem d.d_id) t.ix_bufs in
-          account t ~kept:(List.length keep) ~total:(List.length t.ix_bufs);
-          scan_buffers re keep)
-
-let grep_buffers_linear t re = scan_buffers re t.ix_bufs
 
 let hits_text hits =
   String.concat ""

@@ -1,21 +1,21 @@
 (** Corpus-scale indexed search: a trigram posting-list index feeding
     the {!Regexp} lazy-DFA pipeline.
 
-    The codesearch architecture: every indexed document (a file in the
-    namespace, or an open {!Buffer0} buffer) posts the set of 3-byte
-    substrings it contains; a query planner turns a compiled pattern
+    The codesearch architecture: every indexed document — a file of the
+    namespace that [grep] or [uses] has searched — posts the set of
+    3-byte substrings it contains; a query planner turns a compiled pattern
     into an AND/OR tree over trigrams every match must contain; posting
     lists are intersected to select candidate documents; and only the
     candidates are handed to the usual {!Hsearch}/{!Regexp} scan.  A
     document that lacks a required trigram cannot match, so pruning is
     sound — indexed results are byte-identical to the linear scan.
 
-    Staleness is tracked with the same generation counters the
-    incremental pipeline uses: file documents carry the {!Vfs} stat
-    fingerprint (version/length/mtime) and are revalidated only when
-    the namespace mutation counter has moved; buffer documents carry the
-    {!Buffer0.generation} they were tokenized at and are re-tokenized
-    lazily on the next query, never on a keystroke.
+    Staleness is tracked with the namespace's generation counter: a
+    document carries the {!Vfs} stat fingerprint (version/length/mtime)
+    it was tokenized at, and documents are revalidated only when the
+    namespace mutation counter has moved — lazily, on the next query,
+    never on the write itself.  Window buffers are not documents: no
+    search reads them.
 
     Counters: [index.docs], [index.postings], [index.query.candidates],
     [index.query.skipped_docs], [index.query.fallbacks],
@@ -37,7 +37,8 @@ type query =
 (** Extract a trigram query from a compiled pattern by walking its
     syntax: literal runs become trigram conjunctions, alternations
     become disjunctions, [+] requires its body once; classes, stars and
-    anchors conservatively yield {!Q_all}.  Memoized per pattern. *)
+    anchors conservatively yield {!Q_all}.  Planned afresh on each call
+    (a few microseconds, next to a scan of the corpus). *)
 val plan : Regexp.t -> query
 
 (** The query for a fixed string (what [grep_count] searches for). *)
@@ -61,28 +62,24 @@ val create : Vfs.t -> t
     lives exactly as long as its namespace. *)
 val of_ns : Vfs.t -> t
 
-(** Register an open buffer.  The next query after an edit sees its
-    {!Buffer0.generation} move and re-tokenizes it. *)
-val add_buffer : t -> name:string -> Buffer0.t -> unit
-
-(** Deregister (window closed).  Postings are withdrawn. *)
-val remove_buffer : t -> Buffer0.t -> unit
-
 (** Drop every posting and fingerprint; documents re-tokenize on the
     next query.  The [/mnt/help/index/rebuild] control file. *)
 val rebuild : t -> unit
 
 (** {1 Queries} *)
 
-(** [prune t q paths] — the sublist of [paths] that can possibly
-    contain a match of [q].  Unknown paths are tokenized on the spot;
-    stale ones re-tokenized; unreadable ones kept (the caller's scan
-    reports the error exactly as an unindexed one would). *)
-val prune : t -> query -> string list -> string list
+(** [prune ?cwd t q names] — the sublist of [names], as the caller
+    wrote them, that can possibly contain a match of [q].  A relative
+    name resolves against [cwd] (default ["/"]) the way the shell
+    resolves it; each spelling is normalized once per directory and
+    remembered.  Unknown files are tokenized on the spot, stale ones
+    re-tokenized, unreadable ones kept (the caller's scan reports the
+    error exactly as an unindexed one would). *)
+val prune : ?cwd:string -> t -> query -> string list -> string list
 
 (** One matching line of one document. *)
 type hit = {
-  h_doc : string;  (** file path, or the buffer's registered name *)
+  h_doc : string;  (** normalized file path *)
   h_line : int;  (** 1-based *)
   h_spans : (int * int) list;  (** match spans within the line *)
   h_text : string;  (** the line itself *)
@@ -95,12 +92,6 @@ val grep : t -> Regexp.t -> string list -> hit list
 
 (** The reference: scan every file, no pruning (and no index updates). *)
 val grep_linear : t -> Regexp.t -> string list -> hit list
-
-(** Same pair over the registered buffers (documents named by
-    {!add_buffer}). *)
-val grep_buffers : t -> Regexp.t -> hit list
-
-val grep_buffers_linear : t -> Regexp.t -> hit list
 
 (** Render hits one per line, [doc:line:spans:text] — the byte-for-byte
     comparison format used by the gates and E14. *)

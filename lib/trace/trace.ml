@@ -465,8 +465,6 @@ type snap = {
   sn_at : int;
   sn_scalars : (string * int) list;  (* sorted by name *)
   sn_hists : (string * hsnap) list;  (* sorted by name *)
-  sn_minor : float;
-  sn_majors : int;
 }
 
 let w_width = ref default_window_width
@@ -489,12 +487,9 @@ let take_snap at =
                 hs_b = Array.copy h.h_b } )
             :: !hists)
     registry;
-  let st = Gc.quick_stat () in
   { sn_at = at;
     sn_scalars = List.sort compare !scalars;
-    sn_hists = List.sort (fun (a, _) (b, _) -> compare a b) !hists;
-    sn_minor = st.Gc.minor_words;
-    sn_majors = st.Gc.major_collections }
+    sn_hists = List.sort (fun (a, _) (b, _) -> compare a b) !hists }
 
 let window_check t =
   let e = t / !w_width in
@@ -555,14 +550,6 @@ let window_quantiles name =
       let a, _ = pair in
       ( a.sn_at, dc, delta_percentile d 50., delta_percentile d 95.,
         delta_percentile d 99. ))
-    (snap_pairs ())
-
-let window_gc () =
-  List.map
-    (fun (a, b) ->
-      ( a.sn_at,
-        int_of_float (b.sn_minor -. a.sn_minor),
-        b.sn_majors - a.sn_majors ))
     (snap_pairs ())
 
 let () =
@@ -851,13 +838,9 @@ let reset () =
    sampling, window geometry and epoch, every instrument's value, the
    alert table, and the retained window snapshots.  The span ring is
    deliberately NOT captured — spans are debug traffic, and recovery
-   restarts with an empty ring (depth 0, nothing buffered).
+   restarts with an empty ring (depth 0, nothing buffered). *)
 
-   [sn_minor] is a float (GC minor words); it round-trips through
-   [string_of_float]/[float_of_string], which is exact for the values
-   [Gc.quick_stat] produces. *)
-
-let state_version = 1
+let state_version = 2
 
 let w_hist_payload b (count, sum, mn, mx) (bkts : int array) =
   Codec.w_int b count;
@@ -898,9 +881,7 @@ let w_snap b sn =
     (fun b (name, hs) ->
       Codec.w_str b name;
       w_hist_payload b (hs.hs_count, hs.hs_sum, 0, 0) hs.hs_b)
-    sn.sn_hists;
-  Codec.w_str b (string_of_float sn.sn_minor);
-  Codec.w_int b sn.sn_majors
+    sn.sn_hists
 
 let r_snap d =
   let at = Codec.r_int d in
@@ -916,10 +897,7 @@ let r_snap d =
         let (count, sum, _, _), bkts = r_hist_payload d in
         (name, { hs_count = count; hs_sum = sum; hs_b = bkts }))
   in
-  let minor = float_of_string (Codec.r_str d) in
-  let majors = Codec.r_int d in
-  { sn_at = at; sn_scalars = scalars; sn_hists = hists;
-    sn_minor = minor; sn_majors = majors }
+  { sn_at = at; sn_scalars = scalars; sn_hists = hists }
 
 let save_state () =
   let b = Buffer.create 4096 in

@@ -212,8 +212,9 @@ val spans_json : span list -> string
     registry, and a bounded ring of recent snapshots turns any counter
     into a per-slot rate and any histogram into per-slot quantiles by
     differencing consecutive snapshots.  Windows are pure views over
-    the registry: nothing is double-counted, and an idle period simply
-    produces no snapshots.  Snapshot count is bounded by the slot
+    the registry — a snapshot holds instrument values and nothing of the
+    process, such as GC counts: nothing is double-counted, and an idle
+    period simply produces no snapshots.  Snapshot count is bounded by the slot
     count; a clock jump past the whole window expires every old slot
     (counted on [trace.window.rolls] as boundary crossings). *)
 
@@ -236,12 +237,6 @@ val window_series : string -> (int * int) list
     delta quantiles are clamped to the highest occupied bucket bound
     (the exact observed max is not known per-slot). *)
 val window_quantiles : string -> (int * int * int * int * int) list
-
-(** Per-slot GC activity, oldest first:
-    [(slot, minor_words, major_collections)].  The only window data
-    derived from the process rather than the registry — reported here
-    and deliberately kept out of {!metrics_text}. *)
-val window_gc : unit -> (int * int * int) list
 
 (** {1 Alerts}
 
@@ -302,11 +297,12 @@ val reset : unit -> unit
     span ring is deliberately not captured — recovery restarts with an
     empty ring. *)
 
-(** Serialize the full ledger state ({!Codec} format). *)
+(** Serialize the full ledger state ({!Codec} format, version 2). *)
 val save_state : unit -> string
 
 (** Restore a {!save_state} capture: decode in full first (raising
     [Codec.Truncated] or [Invalid_argument] without touching anything
-    on a bad input), then overwrite the ledger.  Instruments absent
+    on a bad input or a capture of another version), then overwrite
+    the ledger.  Instruments absent
     from the capture are zeroed; the span ring is emptied. *)
 val restore_state : string -> unit

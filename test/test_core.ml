@@ -717,6 +717,46 @@ let prop_word_expansion_idempotent =
               (fun c -> not (c = ' ' || c = '\t' || c = '\n'))
               (String.sub s a (b - a))))
 
+(* Snapshot / restore: the WAL's capture of the UI state. *)
+let snapshot_tests =
+  let store = Hashtbl.create 16 in
+  let put chunk =
+    let k = Digest.to_hex (Digest.string chunk) in
+    Hashtbl.replace store k chunk;
+    k
+  in
+  let get = Hashtbl.find store in
+  let session () =
+    let help = fresh () in
+    ignore (open_one help "/src/one.txt:2");
+    ignore (open_one help "/src/two.txt");
+    Help.report help "an error";
+    help
+  in
+  [
+    Alcotest.test_case "a capture restores into a fresh session" `Quick
+      (fun () ->
+        let help = session () in
+        let s = Help.snapshot help ~put in
+        check_str "captures are version 2" "2\n" (String.sub s 0 2);
+        let copy = fresh () in
+        Help.restore copy ~get s;
+        check_str "same capture after restore" s (Help.snapshot copy ~put);
+        check_str "same screen" (Screen.dump (Help.draw help))
+          (Screen.dump (Help.draw copy)));
+    Alcotest.test_case "another version is refused untouched" `Quick
+      (fun () ->
+        let help = session () in
+        let screen = Screen.dump (Help.draw help) in
+        let s = Help.snapshot help ~put in
+        let v1 = "1" ^ String.sub s 1 (String.length s - 1) in
+        (match Help.restore help ~get v1 with
+        | () -> Alcotest.fail "a version-1 capture was accepted"
+        | exception Invalid_argument _ -> ());
+        check_str "state untouched" s (Help.snapshot help ~put);
+        check_str "screen untouched" screen (Screen.dump (Help.draw help)));
+  ]
+
 let () =
   Alcotest.run "core"
     [
@@ -726,6 +766,7 @@ let () =
       ("place", place_tests);
       ("select", select_tests);
       ("events", event_tests);
+      ("snapshot", snapshot_tests);
       ( "property",
         List.map QCheck_alcotest.to_alcotest
           [ prop_column_invariants; prop_word_expansion_idempotent ] );

@@ -1,6 +1,6 @@
-(* The trigram index: planner soundness, staleness under edits, and
-   the generation-counter contract (unchanged generation => zero
-   re-tokenizations). *)
+(* The trigram index: planner soundness, staleness under edits (through
+   Index.grep and through the shell's grep), and the generation-counter
+   contract (unchanged generation => zero re-tokenizations). *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -75,6 +75,27 @@ let files_indexed_equals_linear () =
   check_bool "after remove: indexed = linear" true
     (same_results ix ns files "needle4")
 
+(* Names come back as the caller wrote them, a relative one resolved
+   against [cwd]; an unreadable one is kept for the scan to report. *)
+let prune_resolves_names () =
+  let ns = Vfs.create () in
+  Vfs.mkdir_p ns "/x";
+  Vfs.mkdir_p ns "/y";
+  Vfs.write_file ns "/x/f.txt" "needle here\n";
+  Vfs.write_file ns "/x/g.txt" "nothing\n";
+  Vfs.write_file ns "/y/f.txt" "nothing\n";
+  Vfs.write_file ns "/y/g.txt" "needle here\n";
+  let ix = Index.of_ns ns in
+  let q = Index.plan_literal "needle" in
+  let names = [ "f.txt"; "./g.txt"; "/x/f.txt"; "missing.txt" ] in
+  let check_names = Alcotest.(check (list string)) in
+  check_names "in /x" [ "f.txt"; "/x/f.txt"; "missing.txt" ]
+    (Index.prune ~cwd:"/x" ix q names);
+  check_names "in /y" [ "./g.txt"; "/x/f.txt"; "missing.txt" ]
+    (Index.prune ~cwd:"/y" ix q names);
+  check_names "the default cwd is the root" [ "x/f.txt" ]
+    (Index.prune ix q [ "x/f.txt"; "y/f.txt" ])
+
 let generation_counters () =
   let ns, files = mk_tree () in
   let ix = Index.create ns in
@@ -104,81 +125,111 @@ let rebuild_control () =
     && (let _, _, p = Index.sizes ix in p = posts))
 
 (* ------------------------------------------------------------------ *)
-(* Buffers: the qcheck edit-script property                            *)
+(* Files: the qcheck edit-script property                              *)
 
 let patterns =
   [ "abc"; "abcd"; "bc ab"; "cab|bac"; "a[ab]c"; "zzzz"; "ab+c" ]
 
-(* Ops: insert a small string drawn from a 4-letter alphabet, or
-   delete a range.  Positions are taken modulo the live length. *)
+(* Only the first file starts with the patterns' trigrams, so edits
+   that give the others new ones exercise staleness. *)
+let edit_files =
+  [ ("a.txt", "abc abd cab\nbac abcd\n"); ("b.txt", ""); ("c.txt", "b a c\n") ]
+
+let edit_names = List.map fst edit_files
+
+(* Ops: in one of the files, insert a small string drawn from a
+   4-letter alphabet, or delete a range.  Positions are taken modulo
+   the live length. *)
 let ops_gen =
   QCheck.make
     ~print:
       QCheck.Print.(
-        list (pair int (pair int (option (string)))))
+        list (pair int (pair int (pair int (option string)))))
     QCheck.Gen.(
       list_size (int_range 1 30)
-        (pair (int_range 0 10000)
-           (pair (int_range 0 12)
-              (option (string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; ' ' ]) (int_range 1 8))))))
+        (pair (int_range 0 2)
+           (pair (int_range 0 10000)
+              (pair (int_range 0 12)
+                 (option
+                    (string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; ' ' ])
+                       (int_range 1 8)))))))
 
-let apply_op buf (pos, (len, ins)) =
-  let n = Buffer0.length buf in
+let apply_op ns (file, (pos, (len, ins))) =
+  let path = "/src/" ^ List.nth edit_names file in
+  let s = Vfs.read_file ns path in
+  let n = String.length s in
   let pos = if n = 0 then 0 else pos mod (n + 1) in
-  (match ins with
-  | Some s -> Buffer0.insert buf pos s
-  | None -> Buffer0.delete buf pos (min len (n - pos)));
-  Buffer0.commit buf
+  let s =
+    match ins with
+    | Some ins -> String.sub s 0 pos ^ ins ^ String.sub s pos (n - pos)
+    | None ->
+        let len = min len (n - pos) in
+        String.sub s 0 pos ^ String.sub s (pos + len) (n - pos - len)
+  in
+  Vfs.write_file ns path s
 
-let prop_buffer_edits =
-  QCheck.Test.make
-    ~name:"indexed buffer search equals linear search under any edit script"
-    ~count:60 ops_gen (fun ops ->
+(* What [grep -n] prints for the same hits, names as written. *)
+let as_grep hits =
+  String.concat ""
+    (List.map
+       (fun h ->
+         Printf.sprintf "%s:%d:%s\n" (Vfs.basename h.Index.h_doc)
+           h.Index.h_line h.Index.h_text)
+       hits)
+
+let prop_file_edits =
+  QCheck.Test.make ~name:"indexed = linear under any edit script" ~count:60
+    ops_gen (fun ops ->
       let ns = Vfs.create () in
-      let ix = Index.create ns in
-      let buf = Buffer0.create "abc abd cab\nbac abcd\n" in
-      Index.add_buffer ix ~name:"scratch" buf;
+      let sh = Rc.create ns in
+      Coreutils.install sh;
+      Vfs.mkdir_p ns "/src";
+      List.iter (fun (f, text) -> Vfs.write_file ns ("/src/" ^ f) text) edit_files;
+      let files = List.map (fun f -> "/src/" ^ f) edit_names in
+      let ix = Index.of_ns ns in
       List.for_all
         (fun op ->
-          apply_op buf op;
+          apply_op ns op;
           List.for_all
             (fun pat ->
               let r = re pat in
-              Index.hits_text (Index.grep_buffers ix r)
-              = Index.hits_text (Index.grep_buffers_linear ix r))
+              let linear = Index.grep_linear ix r files in
+              let shell =
+                Rc.run sh ~cwd:"/src"
+                  (Printf.sprintf "grep -n '%s' %s" pat
+                     (String.concat " " edit_names))
+              in
+              Index.hits_text (Index.grep ix r files) = Index.hits_text linear
+              && shell.Rc.r_out = as_grep linear)
             patterns)
         ops)
 
-let buffer_generations () =
-  let ns = Vfs.create () in
-  let ix = Index.create ns in
-  let buf = Buffer0.create "abc abd\n" in
-  Index.add_buffer ix ~name:"b" buf;
-  ignore (Index.grep_buffers ix (re "abc"));
-  let r0 = Index.reindexed ix in
-  ignore (Index.grep_buffers ix (re "abd"));
-  check_int "clean buffer is not re-tokenized" r0 (Index.reindexed ix);
-  Buffer0.insert buf 0 "xyz ";
-  Buffer0.commit buf;
-  ignore (Index.grep_buffers ix (re "xyz"));
-  check_int "dirty buffer re-tokenizes once" (r0 + 1) (Index.reindexed ix);
-  Index.remove_buffer ix buf;
-  check_int "closed buffer leaves no hits" 0
-    (List.length (Index.grep_buffers ix (re "abc")))
+let edit_seed = 14
+
+let edit_script_property =
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| edit_seed |])
+      prop_file_edits
+  in
+  ( name,
+    speed,
+    fun () ->
+      Printf.printf "qcheck seed %d\n" edit_seed;
+      run () )
 
 (* ------------------------------------------------------------------ *)
 (* The per-namespace registry                                          *)
 
-(* A live namespace keeps its index, and with it the buffers Help
-   registered, however many namespaces come after it. *)
+(* A live namespace keeps its index however many namespaces come after
+   it. *)
 let registry_keeps_live_index () =
   let ns = Vfs.create () in
-  Index.add_buffer (Index.of_ns ns) ~name:"a" (Buffer0.create "kept text\n");
+  let ix = Index.of_ns ns in
   for _ = 1 to 9 do
     ignore (Index.of_ns (Vfs.create ()))
   done;
-  check_int "the buffer is still indexed" 1
-    (List.length (Index.grep_buffers (Index.of_ns ns) (re "kept text")))
+  check_bool "the same index" true (Index.of_ns ns == ix)
 
 (* A dropped namespace is not kept reachable by its index. *)
 let registry_releases_dropped_ns () =
@@ -202,13 +253,11 @@ let () =
         [
           Alcotest.test_case "indexed grep equals linear" `Quick
             files_indexed_equals_linear;
+          Alcotest.test_case "prune resolves names against cwd" `Quick
+            prune_resolves_names;
           Alcotest.test_case "generation counters" `Quick generation_counters;
           Alcotest.test_case "rebuild control" `Quick rebuild_control;
-        ] );
-      ( "buffers",
-        [
-          Alcotest.test_case "buffer generations" `Quick buffer_generations;
-          QCheck_alcotest.to_alcotest prop_buffer_edits;
+          edit_script_property;
         ] );
       ( "of_ns",
         [

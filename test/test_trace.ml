@@ -300,6 +300,60 @@ let reset_clears_observability () =
   Trace.reset ()
 
 (* ------------------------------------------------------------------ *)
+(* State capture: a bad capture is refused before anything changes *)
+
+(* A ledger with closed window slots, an alert and a moved clock, so a
+   restore that touched any of them would show. *)
+let captured_ledger () =
+  Trace.reset ();
+  Trace.window_configure ~width:100 ~slots:4 ();
+  (match Trace.install_alert "cap: value(test.cap.c) > 3" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let c = Trace.counter "test.cap.c" in
+  Trace.incr ~by:5 c;
+  Trace.advance 120;
+  Trace.incr ~by:2 c;
+  Trace.advance 100
+
+let refused_leaves_state name restore expect =
+  let before = Trace.save_state () in
+  let series = Trace.window_series "test.cap.c" in
+  let rules = Trace.alert_rules () in
+  (match restore () with
+  | () -> Alcotest.failf "%s: the capture was accepted" name
+  | exception e when expect e -> ()
+  | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e));
+  check_bool (name ^ ": windows untouched") true
+    (Trace.window_series "test.cap.c" = series);
+  check_bool (name ^ ": alerts untouched") true (Trace.alert_rules () = rules);
+  check_bool (name ^ ": registry and clock untouched") true
+    (Trace.save_state () = before)
+
+let capture_refusals () =
+  captured_ledger ();
+  let s = Trace.save_state () in
+  check_str "captures are version 2" "2\n" (String.sub s 0 2);
+  check_bool "the ledger has closed slots" true
+    (Trace.window_series "test.cap.c" = [ (0, 5); (1, 2) ]);
+  let v1 = "1" ^ String.sub s 1 (String.length s - 1) in
+  (* move past the capture, so restoring it would show *)
+  Trace.incr (Trace.counter "test.cap.c");
+  refused_leaves_state "version 1"
+    (fun () -> Trace.restore_state v1)
+    (function Invalid_argument _ -> true | _ -> false);
+  List.iter
+    (fun cut ->
+      refused_leaves_state
+        (Printf.sprintf "truncated at %d" cut)
+        (fun () -> Trace.restore_state (String.sub s 0 cut))
+        (function Codec.Truncated _ -> true | _ -> false))
+    [ 0; 1; String.length s / 2; String.length s - 1 ];
+  Trace.restore_state s;
+  check_bool "the whole capture restores" true (Trace.save_state () = s);
+  Trace.reset ()
+
+(* ------------------------------------------------------------------ *)
 (* Alert table: parsing, round-tripping, evaluation *)
 
 let alert_table () =
@@ -450,6 +504,11 @@ let () =
       ( "alerts",
         [
           Alcotest.test_case "parse, round-trip, evaluate" `Quick alert_table;
+        ] );
+      ( "capture",
+        [
+          Alcotest.test_case "bad captures are refused untouched" `Quick
+            capture_refusals;
         ] );
       ( "exposition",
         [
